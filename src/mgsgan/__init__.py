@@ -8,7 +8,7 @@ from .losses import (ClassPriors, DiscreteDistribution, adversarial_value,
                      optimal_discriminator)
 from .models import (ArchConfig, ClassDomain, Classifier, Discriminator, Generator,
                      GeneratorBank, classify, compute_class_domains, discriminate)
-from .training import RunLog, TrainConfig, TrainResult, train, train_baseline
+from .training import RunLog, TrainConfig, TrainResult, train
 
 __all__ = [
     "ArchConfig", "ClassDomain", "ClassPriors", "Classifier", "ConfusionMatrix",
@@ -17,5 +17,5 @@ __all__ = [
     "adversarial_value", "average_accuracy", "class_priors", "classify", "cohen_kappa",
     "compute_class_domains", "discriminate", "game_value_at_optimum", "js_divergence",
     "load_dataset", "loss_c", "loss_d", "loss_g", "make_synthetic", "mcnemar",
-    "optimal_discriminator", "overall_accuracy", "split_tttr", "train", "train_baseline",
+    "optimal_discriminator", "overall_accuracy", "split_tttr", "train",
 ]

@@ -518,7 +518,7 @@ def backward(loss: Tensor):
 
 
 # ---------------------------------------------------------------------------
-# op registry (uniform dispatch surface, used by the gradient test suite)
+# op registry (the gradient test suite iterates it)
 
 OP_KINDS = {
     "add": add,
@@ -540,11 +540,3 @@ OP_KINDS = {
     "batch_norm": batch_norm,
     "batch_norm_eval": batch_norm_eval,
 }
-
-
-def apply_op(kind: str, inputs, **params) -> Tensor:
-    if kind not in OP_KINDS:
-        raise ContractError(f"unknown op kind: {kind}")
-    if kind == "concat":
-        return concat(inputs, **params)
-    return OP_KINDS[kind](*inputs, **params)

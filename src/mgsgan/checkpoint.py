@@ -15,9 +15,10 @@ Layout (all little-endian):
             n_arrs  u32      followed per array by u64 element count + f32 payload
     N domain boxes: per class, d f32 lower bounds then d f32 upper bounds
 
-Networks appear in a fixed order per mode: the per-class generators (mgsgan)
-or the single conditional generator, then the discriminator, then the
-classifier (absent for achsgan, whose class head lives in the discriminator).
+Networks appear in the order of `models.Players.networks`: the per-class
+generators (mgsgan) or the single conditional generator, then the
+discriminator, then the classifier (absent for achsgan, whose class head lives
+in the discriminator).
 Weights are stored in f32, so the first save of an f64-trained model is a
 quantization; save -> load -> save is bit-identical.
 """
@@ -32,8 +33,7 @@ import numpy as np
 from .errors import ContractError, DataError
 from .layers import BatchNorm1d, Conv1d, ConvTranspose1d, Dense
 from .models import (ArchConfig, ClassDomain, Classifier, Discriminator, Generator,
-                     GeneratorBank, HeadClassifier, build_conditional_generator,
-                     build_generator_bank)
+                     GeneratorBank, HeadClassifier, Players, build_players)
 
 _MAGIC = b"MGSG"
 _VERSION = 1
@@ -138,14 +138,6 @@ def _read_into_network(r: _Reader, net, what: str):
             layer.bias.data = arrays[1].reshape(layer.bias.shape)
 
 
-def _networks_of(mode: str, gen, disc, classifier):
-    nets = list(gen.generators) if isinstance(gen, GeneratorBank) else [gen]
-    nets.append(disc)
-    if mode != "achsgan":
-        nets.append(classifier)
-    return nets
-
-
 def save_checkpoint_bytes(mode: str, gen, disc, classifier,
                           domains: list[ClassDomain], noise_dim: int) -> bytes:
     if mode not in _MODES:
@@ -155,7 +147,7 @@ def save_checkpoint_bytes(mode: str, gen, disc, classifier,
     buf = bytearray()
     buf += _MAGIC
     buf += struct.pack("<IIIII", _VERSION, _MODES[mode], n, d, noise_dim)
-    nets = _networks_of(mode, gen, disc, classifier)
+    nets = Players(gen, disc, classifier).networks()
     buf += struct.pack("<I", len(nets))
     for net in nets:
         _write_network(buf, net)
@@ -196,29 +188,15 @@ def _parse_checkpoint(blob: bytes, arch: ArchConfig | None) -> LoadedCheckpoint:
         off += 4 * d
         domains.append(ClassDomain(j, lo, hi))
 
-    rng = np.random.default_rng(0)
-    if mode == "mgsgan":
-        gen = build_generator_bank(n, d, noise_dim, domains, rng, arch)
-        disc = Discriminator(d, rng, n_out=1, arch=arch)
-        classifier = Classifier(d, n, rng, arch)
-        nets = list(gen.generators) + [disc, classifier]
-    elif mode == "acsgan":
-        gen = build_conditional_generator(n, d, noise_dim, rng, arch)
-        disc = Discriminator(d, rng, n_out=1, arch=arch)
-        classifier = Classifier(d, n, rng, arch)
-        nets = [gen, disc, classifier]
-    else:
-        gen = build_conditional_generator(n, d, noise_dim, rng, arch)
-        disc = Discriminator(d, rng, n_out=n + 1, arch=arch)
-        classifier = HeadClassifier(disc, n)
-        nets = [gen, disc]
+    players = build_players(mode, n, d, noise_dim, domains, np.random.default_rng(0), arch)
+    nets = players.networks()
     if net_count != len(nets):
         raise DataError(f"checkpoint: {net_count} networks, expected {len(nets)} for {mode}")
     for i, net in enumerate(nets):
         _read_into_network(r, net, f"network {i}")
     if r.off != tail:
         raise DataError("checkpoint: payload size inconsistent with header")
-    return LoadedCheckpoint(mode, n, d, noise_dim, gen, disc, classifier, domains)
+    return LoadedCheckpoint(mode, n, d, noise_dim, *players, domains)
 
 
 def save_checkpoint(path, mode: str, gen, disc, classifier,

@@ -9,6 +9,7 @@ command with the manifest's settings reproduces the artifacts bit-identically.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -16,14 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
-from .checkpoint import load_checkpoint
+from .checkpoint import LoadedCheckpoint, load_checkpoint
 from .data import (SpectralDataset, SplitSpec, load_dataset, make_synthetic,
                    normalize_pair, save_dataset, split_tttr)
 from .errors import ContractError, DataError, MgsganError, NumericError, TrainingAborted
 from .evaluation import ConfusionMatrix, EvalReport, mcnemar
-from .models import predict_labels
-from .training import MODES, TrainConfig, train
+from .models import MODES, generate, predict_labels
+from .training import TrainConfig, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -98,21 +98,12 @@ def build_parser() -> _Parser:
     p.add_argument("--data", type=str, required=True)
     p.add_argument("--out", type=str, required=True, help="output directory")
     p.add_argument("--config", type=str, default=None, help="optional key=value config file")
-    p.add_argument("--mode", type=str, choices=MODES, default=None)
     p.add_argument("--tttr", type=float, default=None)
     p.add_argument("--split-seed", type=int, default=None)
     p.add_argument("--seeds", type=str, default=None, help="run seeds, comma-separated")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--beta1", type=float, default=None)
-    p.add_argument("--beta2", type=float, default=None)
-    p.add_argument("--noise-dim", type=int, default=None)
-    p.add_argument("--noise-dist", type=str, default=None)
-    p.add_argument("--domain-margin", type=float, default=None)
-    p.add_argument("--prior-mode", type=str, default=None)
-    p.add_argument("--gen-loss", type=str, default=None)
-    p.add_argument("--checkpoint-interval", type=int, default=None)
+    for f in _config_fields():
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=None,
+                       choices=MODES if f.name == "mode" else None)
 
     p = sub.add_parser("eval", help="evaluate checkpoints on the held-out split")
     p.add_argument("--data", type=str, required=True)
@@ -157,24 +148,32 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
-_TRAIN_DEFAULTS = {
-    "mode": "mgsgan", "tttr": 0.1, "split_seed": 0, "seeds": "0",
-    "epochs": 1500, "batch": 64, "lr": 0.0002, "beta1": 0.5, "beta2": 0.999,
-    "noise_dim": 100, "noise_dist": "normal", "domain_margin": 0.05,
-    "prior_mode": "empirical", "gen_loss": "non-saturating", "checkpoint_interval": 0,
-}
+# train settings that are not TrainConfig fields: the data split and the run seeds
+_SPLIT_DEFAULTS = {"tttr": 0.1, "split_seed": 0, "seeds": "0"}
+
+
+def _config_fields():
+    """TrainConfig fields that are train settings; each run's `seed` comes from --seeds."""
+    return [f for f in dataclasses.fields(TrainConfig) if f.name != "seed"]
 
 
 def _resolve_train_settings(args) -> dict:
+    """Each setting from its flag, else the --config file, else its default."""
+    defaults = {**_SPLIT_DEFAULTS, **{f.name: f.default for f in _config_fields()}}
     file_values = _load_config_file(args.config) if args.config else {}
+    unknown = sorted(set(file_values) - set(defaults))
+    if unknown:
+        raise _UsageError(f"{args.config}: unknown config key {unknown[0]!r}")
     settings = {}
-    for key, default in _TRAIN_DEFAULTS.items():
-        flag = getattr(args, key)
-        if flag is not None:
-            settings[key] = flag
+    for key, default in defaults.items():
+        if getattr(args, key) is not None:
+            settings[key] = getattr(args, key)
         elif key in file_values:
-            raw = file_values[key]
-            settings[key] = type(default)(raw) if not isinstance(default, str) else raw
+            try:
+                settings[key] = type(default)(file_values[key])
+            except ValueError:
+                raise _UsageError(f"{args.config}: {key}={file_values[key]!r} "
+                                  f"is not a valid {type(default).__name__}")
         else:
             settings[key] = default
     return settings
@@ -188,30 +187,25 @@ def _prepared_split(data_path, tttr: float, split_seed: int):
 
 def _cmd_train(args) -> int:
     settings = _resolve_train_settings(args)
-    seeds = _parse_int_list(str(settings["seeds"]), "--seeds")
+    seeds = _parse_int_list(settings["seeds"], "--seeds")
+    fields = {f.name: settings[f.name] for f in _config_fields()}
+    configs = [TrainConfig(**fields, seed=seed) for seed in seeds]
+    train_n, _test_n = _prepared_split(args.data, settings["tttr"], settings["split_seed"])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    train_n, _test_n = _prepared_split(args.data, settings["tttr"], settings["split_seed"])
     outputs = []
-    for seed in seeds:
-        config = TrainConfig(
-            epochs=settings["epochs"], batch=settings["batch"], lr=settings["lr"],
-            beta1=settings["beta1"], beta2=settings["beta2"],
-            noise_dim=settings["noise_dim"], seed=seed,
-            domain_margin=settings["domain_margin"], prior_mode=settings["prior_mode"],
-            gen_loss=settings["gen_loss"], mode=settings["mode"],
-            noise_dist=settings["noise_dist"],
-            checkpoint_interval=settings["checkpoint_interval"],
-        )
-        seed_dir = out_dir / f"seed_{seed}"
+    for config in configs:
+        seed_dir = out_dir / f"seed_{config.seed}"
         seed_dir.mkdir(parents=True, exist_ok=True)
         try:
             result = train(train_n, config, checkpoint_dir=seed_dir)
         except TrainingAborted as exc:
+            salvage = "no epoch finished, no checkpoint written"
             if exc.last_good is not None:
-                (seed_dir / "checkpoint.aborted.mgsg").write_bytes(exc.last_good)
-            print(f"training aborted: {exc} (last good checkpoint in {seed_dir})",
-                  file=sys.stderr)
+                salvaged = seed_dir / "checkpoint.aborted.mgsg"
+                salvaged.write_bytes(exc.last_good)
+                salvage = f"last good checkpoint in {salvaged}"
+            print(f"training aborted: {exc} ({salvage})", file=sys.stderr)
             raise
         ckpt = seed_dir / "checkpoint.mgsg"
         ckpt.write_bytes(result.checkpoint_bytes())
@@ -219,7 +213,7 @@ def _cmd_train(args) -> int:
         (seed_dir / "runlog.timing.json").write_text(
             result.runlog.to_timing_json() + "\n", encoding="utf-8")
         outputs += [ckpt, seed_dir / "runlog.jsonl"]
-        print(f"seed {seed}: wrote {ckpt}")
+        print(f"seed {config.seed}: wrote {ckpt}")
     _write_manifest(out_dir / "manifest.json", "train",
                     {**settings, "seeds": seeds}, {"data": args.data}, outputs)
     return EXIT_OK
@@ -237,14 +231,21 @@ def _discover_checkpoints(spec: str) -> list[Path]:
     return [p]
 
 
-def _predictions_for(ckpt_path: Path, test_n: SpectralDataset) -> np.ndarray:
+def _checkpoint_for(ckpt_path, ds: SpectralDataset) -> LoadedCheckpoint:
+    """Load a checkpoint and check it was trained on data of ds's d and N."""
     ck = load_checkpoint(ckpt_path)
-    if ck.d != test_n.band_count or ck.n_classes != test_n.class_count:
+    if ck.d != ds.band_count or ck.n_classes != ds.class_count:
         raise DataError(
             f"{ckpt_path}: checkpoint is for d={ck.d}, N={ck.n_classes}; "
-            f"data has d={test_n.band_count}, N={test_n.class_count}"
+            f"data has d={ds.band_count}, N={ds.class_count}"
         )
-    return predict_labels(ck.classifier, test_n.samples)
+    return ck
+
+
+def _predictions_for(ckpt_path: Path, test_n: SpectralDataset) -> tuple[str, np.ndarray]:
+    """(mode, test-set predictions) of one checkpoint."""
+    ck = _checkpoint_for(ckpt_path, test_n)
+    return ck.mode, predict_labels(ck.classifier, test_n.samples)
 
 
 def _cmd_eval(args) -> int:
@@ -254,17 +255,15 @@ def _cmd_eval(args) -> int:
     ckpts = _discover_checkpoints(args.run_dir or args.checkpoint)
     seeds = [int(p.parent.name.removeprefix("seed_")) if p.parent.name.startswith("seed_") else i
              for i, p in enumerate(ckpts)]
-    preds = [_predictions_for(p, test_n) for p in ckpts]
+    modes, preds = zip(*(_predictions_for(p, test_n) for p in ckpts))
     cms = [ConfusionMatrix.from_predictions(test_n.labels, pr, test_n.class_count)
            for pr in preds]
-    mode_name = load_checkpoint(ckpts[0]).mode
-    report = EvalReport.from_runs(mode_name, cms, seeds)
+    report = EvalReport.from_runs(modes[0], cms, seeds)
     report.notes["tttr"] = args.tttr
     report.notes["split_seed"] = args.split_seed
     if args.compare:
         other = _discover_checkpoints(args.compare)[0]
-        other_pred = _predictions_for(other, test_n)
-        other_mode = load_checkpoint(other).mode
+        other_mode, other_pred = _predictions_for(other, test_n)
         report.mcnemar_vs[other_mode] = mcnemar(preds[0], other_pred, test_n.labels)
         report.notes["mcnemar_checkpoints"] = [str(ckpts[0]), str(other)]
     out = Path(args.out)
@@ -284,13 +283,8 @@ def _cmd_eval(args) -> int:
 def _cmd_export_spectra(args) -> int:
     if args.samples < 1:
         raise _UsageError("--samples must be >= 1")
-    ck = load_checkpoint(args.checkpoint)
     train_n, _test_n = _prepared_split(args.data, args.tttr, args.split_seed)
-    if ck.d != train_n.band_count or ck.n_classes != train_n.class_count:
-        raise DataError(
-            f"{args.checkpoint}: checkpoint is for d={ck.d}, N={ck.n_classes}; "
-            f"data has d={train_n.band_count}, N={train_n.class_count}"
-        )
+    ck = _checkpoint_for(args.checkpoint, train_n)
     if args.classes == "all":
         class_ids = list(range(ck.n_classes))
     else:
@@ -304,13 +298,7 @@ def _cmd_export_spectra(args) -> int:
     for j in class_ids:
         real_mean = train_n.samples[train_n.labels == j].mean(axis=0)
         z = rng.standard_normal((args.samples, ck.noise_dim))
-        if ck.mode == "mgsgan":
-            fake = ck.generator.generate(ad.const(z), j).data
-        else:
-            onehot = np.zeros((args.samples, ck.n_classes))
-            onehot[:, j] = 1.0
-            fake = ck.generator.forward(ad.const(np.concatenate([z, onehot], axis=1))).data
-        gen_mean = fake.mean(axis=0)
+        gen_mean = generate(ck.generator, z, np.full(args.samples, j)).data.mean(axis=0)
         dom = ck.domains[j]
         for band in range(ck.d):
             vals = (float(real_mean[band]), float(gen_mean[band]),

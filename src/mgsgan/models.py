@@ -11,12 +11,15 @@ distinct kernel sizes and ends in an N-way softmax.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractError, DataError, ShapeError
 from .layers import BatchNorm1d, Conv1d, ConvTranspose1d, Dense, Layer
+
+MODES = ("mgsgan", "acsgan", "achsgan")
 
 
 @dataclass
@@ -349,3 +352,56 @@ def build_conditional_generator(n_classes: int, d: int, noise_dim: int,
                                 arch: ArchConfig | None = None) -> Generator:
     """Single generator conditioned by concatenating a one-hot class code to z."""
     return Generator(noise_dim + n_classes, d, rng, arch)
+
+
+class Players(NamedTuple):
+    """One mode's generator, discriminator and classifier."""
+
+    generator: GeneratorBank | Generator
+    discriminator: Discriminator
+    classifier: Classifier | HeadClassifier
+
+    def trainable(self) -> dict:
+        """The players that own parameters, keyed g/d/c; a head classifier is part of D."""
+        out = {"g": self.generator, "d": self.discriminator}
+        if not isinstance(self.classifier, HeadClassifier):
+            out["c"] = self.classifier
+        return out
+
+    def networks(self) -> list:
+        """Checkpoint network order: the generator(s), D, then a separate classifier."""
+        gen, *rest = self.trainable().values()
+        return (list(gen.generators) if isinstance(gen, GeneratorBank) else [gen]) + rest
+
+
+def build_players(mode: str, n: int, d: int, noise_dim: int, domains: list[ClassDomain],
+                  rng: np.random.Generator, arch: ArchConfig | None = None) -> Players:
+    """The players of `mode`, initialised from rng in the order G, D, C.
+
+    mgsgan: one generator per class plus its box; acsgan: one generator
+    conditioned by a one-hot class code; achsgan: the acsgan generator and a
+    discriminator with N+1 outputs whose first N act as the classifier.
+    """
+    if mode not in MODES:
+        raise ContractError(f"build_players: unknown mode {mode!r}")
+    if mode == "mgsgan":
+        gen = build_generator_bank(n, d, noise_dim, domains, rng, arch)
+    else:
+        gen = build_conditional_generator(n, d, noise_dim, rng, arch)
+    if mode == "achsgan":
+        disc = Discriminator(d, rng, n_out=n + 1, arch=arch)
+        return Players(gen, disc, HeadClassifier(disc, n))
+    disc = Discriminator(d, rng, n_out=1, arch=arch)
+    return Players(gen, disc, Classifier(d, n, rng, arch))
+
+
+def generate(gen: GeneratorBank | Generator, z: np.ndarray, classes: np.ndarray) -> ad.Tensor:
+    """Fake samples of `classes` from noise z: one generator call for the whole batch.
+
+    A bank picks each row's class generator and box; a conditional generator
+    reads the one-hot class code appended to z.
+    """
+    if isinstance(gen, GeneratorBank):
+        return gen.generate_batch(ad.const(z), classes)
+    onehot = np.eye(gen.in_dim - z.shape[1])[classes]
+    return gen.forward(ad.const(np.concatenate([z, onehot], axis=1)))

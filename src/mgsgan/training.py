@@ -28,11 +28,9 @@ from .data import SpectralDataset, class_priors
 from .errors import ContractError, NumericError, TrainingAborted
 from .layers import Adam
 from .losses import ClassPriors, _safe_log, loss_c, loss_d, loss_g, reset_clamp_log
-from .models import (ArchConfig, Classifier, Discriminator, HeadClassifier,
-                     _take_cols, build_conditional_generator,
-                     build_generator_bank, compute_class_domains)
+from .models import (MODES, ArchConfig, Classifier, Discriminator, HeadClassifier,
+                     _take_cols, build_players, compute_class_domains, generate)
 
-MODES = ("mgsgan", "acsgan", "achsgan")
 NOISE_DISTS = ("normal", "normal-shifted", "uniform")
 PRIOR_MODES = ("empirical", "uniform")
 GEN_LOSSES = ("non-saturating", "saturating")
@@ -55,8 +53,10 @@ class TrainConfig:
     checkpoint_interval: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch < 1 or self.lr < 0 or self.noise_dim < 1:
-            raise ContractError("TrainConfig: epochs/batch/lr/noise_dim out of range")
+        if self.epochs < 0 or self.lr < 0 or self.noise_dim < 1:
+            raise ContractError("TrainConfig: epochs/lr/noise_dim out of range")
+        if self.batch < 2:
+            raise ContractError(f"TrainConfig: batch norm needs batch >= 2, got {self.batch}")
         if self.domain_margin < 0:
             raise ContractError("TrainConfig: domain_margin must be >= 0")
         if self.mode not in MODES:
@@ -141,12 +141,6 @@ def _draw_noise(rng: np.random.Generator, n: int, dim: int, dist: str) -> np.nda
     return rng.uniform(-1.0, 1.0, size=(n, dim))
 
 
-def _onehot(classes: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros((classes.shape[0], n))
-    out[np.arange(classes.shape[0]), classes] = 1.0
-    return out
-
-
 class _Freezer:
     """Context manager freezing every player except the one being updated."""
 
@@ -186,35 +180,17 @@ def train(train_ds: SpectralDataset, config: TrainConfig,
     priors = class_priors(train_ds, config.prior_mode)
     domains = compute_class_domains(train_ds, config.domain_margin)
 
-    if config.mode == "mgsgan":
-        gen = build_generator_bank(n, d, config.noise_dim, domains, rng_init, arch)
-        disc = Discriminator(d, rng_init, n_out=1, arch=arch)
-        cls = Classifier(d, n, rng_init, arch)
-    elif config.mode == "acsgan":
-        gen = build_conditional_generator(n, d, config.noise_dim, rng_init, arch)
-        disc = Discriminator(d, rng_init, n_out=1, arch=arch)
-        cls = Classifier(d, n, rng_init, arch)
-    else:
-        gen = build_conditional_generator(n, d, config.noise_dim, rng_init, arch)
-        disc = Discriminator(d, rng_init, n_out=n + 1, arch=arch)
-        cls = HeadClassifier(disc, n)
-
-    adam_g = Adam(gen.parameters(), lr=config.lr, beta1=config.beta1, beta2=config.beta2)
-    adam_d = Adam(disc.parameters(), lr=config.lr, beta1=config.beta1, beta2=config.beta2)
-    adam_c = None
-    if config.mode != "achsgan":
-        adam_c = Adam(cls.parameters(), lr=config.lr, beta1=config.beta1, beta2=config.beta2)
-
-    players = {"g": gen, "d": disc}
-    if config.mode != "achsgan":
-        players["c"] = cls
+    all_players = build_players(config.mode, n, d, config.noise_dim, domains, rng_init, arch)
+    players = all_players.trainable()
+    adams = {k: Adam(p.parameters(), lr=config.lr, beta1=config.beta1, beta2=config.beta2)
+             for k, p in players.items()}
 
     runlog = RunLog(meta={
         "config": config.as_dict(),
         "dataset_digest": _dataset_digest(train_ds),
         "class_sizes": train_ds.class_sizes().tolist(),
     })
-    result = TrainResult(config.mode, gen, disc, cls, domains, priors, runlog, config)
+    result = TrainResult(config.mode, *all_players, domains, priors, runlog, config)
 
     n_batches = train_ds.size // config.batch
     last_good = None
@@ -233,8 +209,7 @@ def train(train_ds: SpectralDataset, config: TrainConfig,
             z = _draw_noise(rng_noise, config.batch, config.noise_dim, config.noise_dist)
             classes = rng_class.choice(n, size=config.batch, p=priors.p_gen)
             try:
-                stats = _train_batch(config, players, adam_d, adam_c, adam_g,
-                                     priors, real_x, real_y, z, classes)
+                stats = _train_batch(config, players, adams, priors, real_x, real_y, z, classes)
             except NumericError as exc:
                 raise TrainingAborted(
                     f"non-finite loss at epoch {epoch}, batch {b}: {exc}",
@@ -270,26 +245,18 @@ def train(train_ds: SpectralDataset, config: TrainConfig,
     return result
 
 
-def _generate(config: TrainConfig, gen, z: np.ndarray, classes: np.ndarray) -> ad.Tensor:
-    if config.mode == "mgsgan":
-        return gen.generate_batch(ad.const(z), classes)
-    n_classes = gen.in_dim - config.noise_dim
-    gen_in = np.concatenate([z, _onehot(classes, n_classes)], axis=1)
-    return gen.forward(ad.const(gen_in))
-
-
-def _train_batch(config, players, adam_d, adam_c, adam_g, priors,
-                 real_x, real_y, z, classes) -> dict:
-    gen, disc = players["g"], players["d"]
-    fake = _generate(config, gen, z, classes)
+def _train_batch(config, players, adams, priors, real_x, real_y, z, classes) -> dict:
+    disc = players["d"]
+    fake = generate(players["g"], z, classes)
     fake_det = fake.detach()
     stats = {"fake_values": fake.data}
+    adam_d, adam_g = adams["d"], adams["g"]
 
     if config.mode == "achsgan":
         return _achsgan_steps(config, players, adam_d, adam_g, priors,
                               real_x, real_y, fake, fake_det, classes, stats)
 
-    cls = players["c"]
+    cls, adam_c = players["c"], adams["c"]
     aux = {}
     with _Freezer(players, "d"):
         adam_d.zero_grad()
@@ -320,7 +287,7 @@ def _train_batch(config, players, adam_d, adam_c, adam_g, priors,
 def _achsgan_steps(config, players, adam_d, adam_g, priors,
                    real_x, real_y, fake, fake_det, classes, stats) -> dict:
     """Two-player variant: the discriminator's N+1 outputs carry both games."""
-    gen, disc = players["g"], players["d"]
+    disc = players["d"]
     n = disc.n_out - 1
     w_r = ad.const(priors.p_real[real_y])
     w_g = ad.const(priors.p_gen[classes])
@@ -360,9 +327,3 @@ def _achsgan_steps(config, players, adam_d, adam_g, priors,
                  loss_c=float(-(ce_real.item() + ce_fake.item())),
                  d_real=float(adv_r.data.mean()), d_fake=float(adv_f.data.mean()))
     return stats
-
-
-def train_baseline(train_ds: SpectralDataset, config: TrainConfig,
-                   arch: ArchConfig | None = None) -> TrainResult:
-    """Alias of `train`; the baseline is selected by config.mode."""
-    return train(train_ds, config, arch)

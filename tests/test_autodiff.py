@@ -1,5 +1,7 @@
 """Engine contracts: forward values, gradients vs finite differences, errors."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -188,7 +190,7 @@ def _case(rng, kind):
 
 @pytest.mark.parametrize("kind", sorted(ad.OP_KINDS))
 def test_gradients_match_finite_differences(kind):
-    rng = np.random.default_rng(abs(hash(kind)) % (2**32))
+    rng = np.random.default_rng(zlib.crc32(kind.encode()))
     for case in range(N_CASES):
         loss, leaves = _case(rng, kind)
         err = fd_gradcheck(loss, leaves)
@@ -241,10 +243,3 @@ def test_detach_blocks_gradient():
     loss = ad.sum_(ad.mul(y, ad.const([3.0])))
     ad.backward(loss)
     assert x.grad is None
-
-
-def test_apply_op_dispatch():
-    out = ad.apply_op("add", [ad.const([1.0]), ad.const([2.0])])
-    np.testing.assert_array_equal(out.data, [3.0])
-    with pytest.raises(ContractError):
-        ad.apply_op("no_such_op", [])

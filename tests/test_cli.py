@@ -100,6 +100,34 @@ def test_config_file_values_with_flag_override(tmp_path):
     assert manifest["settings"]["seeds"] == [5]
 
 
+def test_config_file_unknown_key_is_usage_error(tmp_path, capsys):
+    data = _synth(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epochs=0\nnoise-dim=7\n", encoding="utf-8")
+    rc = main(["train", "--data", str(data), "--out", str(tmp_path / "run"),
+               "--config", str(cfg), "--tttr", "0.5", "--batch", "16"])
+    assert rc == EXIT_USAGE
+    assert "noise-dim" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_file_unparseable_value_is_usage_error(tmp_path, capsys):
+    data = _synth(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epochs=abc\n", encoding="utf-8")
+    rc = main(["train", "--data", str(data), "--out", str(tmp_path / "run"),
+               "--config", str(cfg), "--tttr", "0.5", "--batch", "16"])
+    assert rc == EXIT_USAGE
+    assert "epochs='abc'" in capsys.readouterr().err
+
+
+def test_train_batch_of_one_rejected_before_data_is_read(tmp_path):
+    # the data file does not exist: a data error would mean it was read first
+    rc = main(["train", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "run"),
+               "--epochs", "1", "--tttr", "0.5", "--batch", "1"])
+    assert rc == EXIT_USAGE
+
+
 def test_eval_report_and_compare_identical_checkpoints(tmp_path):
     data = _synth(tmp_path)
     out = tmp_path / "run"
@@ -154,7 +182,7 @@ def test_export_spectra_columns_and_containment(tmp_path):
         assert float(lo) <= float(gen) <= float(hi)  # generated mean inside the box
 
 
-def test_train_abort_exit_code_and_salvage_checkpoint(tmp_path, monkeypatch):
+def test_train_abort_exit_code_and_salvage_checkpoint(tmp_path, monkeypatch, capsys):
     import mgsgan.training as training
     from mgsgan.cli import EXIT_NUMERIC
     from mgsgan.errors import NumericError
@@ -174,7 +202,29 @@ def test_train_abort_exit_code_and_salvage_checkpoint(tmp_path, monkeypatch):
     rc = main(["train", "--data", str(data), "--out", str(out), "--epochs", "3",
                "--tttr", "0.5", "--batch", "32", "--seeds", "0"])
     assert rc == EXIT_NUMERIC
-    assert (out / "seed_0" / "checkpoint.aborted.mgsg").exists()
+    salvaged = out / "seed_0" / "checkpoint.aborted.mgsg"
+    assert salvaged.exists()
+    assert f"last good checkpoint in {salvaged}" in capsys.readouterr().err
+
+
+def test_train_abort_in_first_epoch_names_no_checkpoint(tmp_path, monkeypatch, capsys):
+    import mgsgan.training as training
+    from mgsgan.cli import EXIT_NUMERIC
+    from mgsgan.errors import NumericError
+
+    data = _synth(tmp_path)
+
+    def poisoned(*args, **kwargs):
+        raise NumericError("poisoned")
+
+    monkeypatch.setattr(training, "loss_d", poisoned)
+    out = tmp_path / "run"
+    rc = main(["train", "--data", str(data), "--out", str(out), "--epochs", "3",
+               "--tttr", "0.5", "--batch", "32", "--seeds", "0"])
+    assert rc == EXIT_NUMERIC
+    assert list((out / "seed_0").iterdir()) == []
+    err = capsys.readouterr().err
+    assert "no checkpoint written" in err and "last good checkpoint" not in err
 
 
 def test_export_spectra_rejects_bad_sample_count(tmp_path):

@@ -9,8 +9,8 @@ from mgsgan.data import SpectralDataset
 from mgsgan.errors import ContractError, DataError, ShapeError
 from mgsgan.models import (ArchConfig, ClassDomain, Classifier, Discriminator,
                            Generator, build_conditional_generator,
-                           build_generator_bank, classify, compute_class_domains,
-                           discriminate, predict_labels)
+                           build_generator_bank, build_players, classify,
+                           compute_class_domains, discriminate, generate, predict_labels)
 
 from conftest import fd_gradcheck
 
@@ -190,6 +190,26 @@ def test_conditional_generator_input_dim():
     assert out.shape == (3, 16)
 
 
+def test_generate_matches_bank_call_and_onehot_input():
+    rng = np.random.default_rng(17)
+    bank = build_generator_bank(3, 8, 6, _domains_for(8, 3, -0.4, 0.4), rng)
+    cond = build_conditional_generator(3, 8, 6, rng)
+    z = rng.standard_normal((5, 6))
+    for j in range(3):
+        classes = np.full(5, j)
+        assert generate(bank, z, classes).data.tobytes() == \
+            bank.generate(ad.const(z), j).data.tobytes()
+        onehot = np.zeros((5, 3))
+        onehot[:, j] = 1.0
+        assert generate(cond, z, classes).data.tobytes() == \
+            cond.forward(ad.const(np.concatenate([z, onehot], axis=1))).data.tobytes()
+
+
+def test_build_players_rejects_unknown_mode():
+    with pytest.raises(ContractError):
+        build_players("gan", 2, 8, 4, _domains_for(8, 2), np.random.default_rng(0))
+
+
 def test_generator_exact_output_length_odd_bands():
     rng = np.random.default_rng(14)
     for d in (5, 7, 64, 103, 200):
@@ -213,19 +233,7 @@ def _trained_like_bundle(mode, rng):
     d, n, noise = 12, 3, 8
     domains = [ClassDomain(j, np.full(d, -0.5 + 0.1 * j), np.full(d, 0.5 + 0.1 * j))
                for j in range(n)]
-    if mode == "mgsgan":
-        gen = build_generator_bank(n, d, noise, domains, rng)
-        disc = Discriminator(d, rng)
-        cls = Classifier(d, n, rng)
-    elif mode == "acsgan":
-        gen = build_conditional_generator(n, d, noise, rng)
-        disc = Discriminator(d, rng)
-        cls = Classifier(d, n, rng)
-    else:
-        from mgsgan.models import HeadClassifier
-        gen = build_conditional_generator(n, d, noise, rng)
-        disc = Discriminator(d, rng, n_out=n + 1)
-        cls = HeadClassifier(disc, n)
+    gen, disc, cls = build_players(mode, n, d, noise, domains, rng)
     return gen, disc, cls, domains, noise
 
 

@@ -11,7 +11,7 @@ from mgsgan.layers import Adam
 from mgsgan.losses import loss_c, loss_d, loss_g
 from mgsgan.models import (Classifier, Discriminator, build_generator_bank,
                            compute_class_domains)
-from mgsgan.training import TrainConfig, train, train_baseline
+from mgsgan.training import TrainConfig, train
 from mgsgan.checkpoint import load_checkpoint_bytes
 
 
@@ -53,6 +53,8 @@ def test_batch_larger_than_dataset_rejected():
     ds = _toy_ds(n_per=4)
     with pytest.raises(ContractError):
         train(ds, TrainConfig(epochs=1, batch=64, seed=0))
+    with pytest.raises(ContractError):  # batch norm needs two rows
+        TrainConfig(epochs=1, batch=1, seed=0)
 
 
 def test_frozen_player_contract_each_step():
@@ -167,14 +169,9 @@ def test_all_modes_share_data_order_for_a_seed():
     digests = {}
     for mode in ("mgsgan", "acsgan", "achsgan"):
         res = train(ds, TrainConfig(epochs=3, batch=16, seed=7, mode=mode))
+        assert res.mode == mode
         digests[mode] = [r.data_order_digest for r in res.runlog.records]
     assert digests["mgsgan"] == digests["acsgan"] == digests["achsgan"]
-
-
-def test_train_baseline_is_mode_dispatch():
-    ds = _toy_ds(n_per=8, d=8)
-    res = train_baseline(ds, TrainConfig(epochs=1, batch=8, seed=1, mode="acsgan"))
-    assert res.mode == "acsgan"
 
 
 def test_nonfinite_loss_aborts_with_context_and_checkpoint(monkeypatch):
