@@ -174,6 +174,12 @@ def test_all_modes_share_data_order_for_a_seed():
     assert digests["mgsgan"] == digests["acsgan"] == digests["achsgan"]
 
 
+def test_train_baseline_is_mode_dispatch():
+    ds = _toy_ds(n_per=8, d=8)
+    res = train(ds, TrainConfig(epochs=1, batch=8, seed=1, mode="acsgan"))
+    assert res.mode == "acsgan"
+
+
 def test_nonfinite_loss_aborts_with_context_and_checkpoint(monkeypatch):
     ds = _toy_ds(n_per=16, d=8, n_classes=2)
     calls = {"n": 0}
