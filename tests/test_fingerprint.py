@@ -4,6 +4,11 @@ One 3-epoch `train` per mode on a fixed synthetic set, plus the
 `export-spectra` CSV of the mgsgan run. A refactor must leave every digest
 bit-identical; a change that reorders float sums must update a pin on purpose
 and say so.
+
+A second, wider set (16 classes x 200 bands, batch 64) pins one 2-epoch run
+per mode. Its conv outputs are large enough that a kernel returning an array
+in a different memory layout changes the order in which later reductions sum,
+and with it the checkpoint; the 3 x 16 set does not reach that regime.
 """
 
 import hashlib
@@ -28,6 +33,20 @@ PINNED = {
     },
 }
 PINNED_EXPORT = "5bbd6e8fada37b18d9a6727cea3a39d42e21e0ad11cccccefca154b10ebaab8b"
+PINNED_WIDE = {
+    "mgsgan": {
+        "checkpoint.mgsg": "4cff0ed27decd7f3993252c200334ccf959305bc988a0b5ddf4579d4f5349c66",
+        "runlog.jsonl": "a361b5b3d8858613aba12b63326fe9cc412c6e5041538f0dd0493ff145ad18f4",
+    },
+    "acsgan": {
+        "checkpoint.mgsg": "a89c35e07cfbe4f94f08936340228fd185c017ad40327d9b08559c0cb8e133e7",
+        "runlog.jsonl": "13db290eba21ead2490245404fc173b2d3ad056a1483d8e95136a77a7f3ac85f",
+    },
+    "achsgan": {
+        "checkpoint.mgsg": "e2d6e15b82df5eb6b18444507e8de937fa51f7355e5fbadaba2184e6e03ae405",
+        "runlog.jsonl": "5603a3512a48b4287c908dea8bbc5adeba0ef20acc224671155025f4f289c125",
+    },
+}
 
 
 def _sha(path):
@@ -41,11 +60,18 @@ def data_path(tmp_path_factory):
     return path
 
 
-def _train(data_path, mode):
+@pytest.fixture(scope="module")
+def wide_data_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fingerprint_wide") / "ds.csv"
+    save_dataset(path, make_synthetic(7, 16, 200, [16] * 16, overlap=0.3))
+    return path
+
+
+def _train(data_path, mode, epochs=3, batch=16):
     out = data_path.parent / mode
     rc = main(["train", "--data", str(data_path), "--out", str(out), "--mode", mode,
-               "--epochs", "3", "--tttr", "0.5", "--split-seed", "0",
-               "--batch", "16", "--seeds", "1"])
+               "--epochs", str(epochs), "--tttr", "0.5", "--split-seed", "0",
+               "--batch", str(batch), "--seeds", "1"])
     assert rc == EXIT_OK
     return out / "seed_1"
 
@@ -55,6 +81,13 @@ def test_train_artifacts_match_pinned_digests(data_path, mode):
     seed_dir = _train(data_path, mode)
     got = {name: _sha(seed_dir / name) for name in PINNED[mode]}
     assert got == PINNED[mode]
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_WIDE))
+def test_wide_train_artifacts_match_pinned_digests(wide_data_path, mode):
+    seed_dir = _train(wide_data_path, mode, epochs=2, batch=64)
+    got = {name: _sha(seed_dir / name) for name in PINNED_WIDE[mode]}
+    assert got == PINNED_WIDE[mode]
 
 
 def test_export_spectra_matches_pinned_digest(data_path):
