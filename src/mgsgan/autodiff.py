@@ -12,6 +12,10 @@ silently. Broadcasting is restricted: two operands must have identical
 shapes, or one shape must be a trailing suffix of the other (which covers
 scalars and per-feature bias vectors, i.e. broadcasting over leading batch
 dimensions only).
+
+An op's output keeps the memory order of the formulation it replaced (for
+elementwise ops, numpy's keep-order layout of the operands), because later
+reductions sum in memory order and a different layout changes their bits.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ContractError, NumericError, ShapeError
 
@@ -179,11 +183,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
-    neg = x.data < 0
-    out = np.where(neg, slope * x.data, x.data)
+    # For 0 <= slope <= 1, max(x, slope*x) picks slope*x exactly where x < 0
+    # (signed zeros included) and the backward factor is 1 or slope: the bits
+    # and keep-order layout of np.where(x < 0, slope*x, x), at a fraction of its cost.
+    if not 0.0 <= slope <= 1.0:
+        raise ContractError(f"leaky_relu: slope must lie in [0, 1], got {slope}")
+    nonneg = x.data >= 0
+    out = np.maximum(x.data, slope * x.data)
 
     def vjp(g):
-        return (np.where(neg, slope * g, g),)
+        return (np.multiply(g, np.maximum(nonneg, slope, dtype=g.dtype)),)
 
     return _make(out, (x,), vjp, "leaky_relu")
 
@@ -334,11 +343,14 @@ def _conv_out_len(length: int, k: int, stride: int, pad: int) -> int:
 
 def _im2col(x: np.ndarray, k: int, stride: int, pad: int, t: int) -> np.ndarray:
     # x (B, C, L) -> contiguous (B*T, C*K) patch matrix, BLAS-friendly
+    b, c, length = x.shape
     if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
-    win = sliding_window_view(x, k, axis=2)[:, :, ::stride][:, :, :t]
-    b, c = x.shape[0], x.shape[1]
-    return np.ascontiguousarray(win.transpose(0, 2, 1, 3)).reshape(b * t, c * k)
+        buf = np.zeros((b, c, length + 2 * pad), dtype=x.dtype)
+        buf[:, :, pad : pad + length] = x
+        x = buf
+    sb, sc, sl = x.strides
+    win = as_strided(x, shape=(b, t, c, k), strides=(sb, stride * sl, sc, sl), writeable=False)
+    return np.ascontiguousarray(win).reshape(b * t, c * k)
 
 
 def _col2im(mat: np.ndarray, b: int, c: int, k: int, t: int,
@@ -444,27 +456,35 @@ def _bn_axes(x: Tensor):
     raise ShapeError(f"batch_norm: expected 2-d or 3-d input, got shape {x.shape}")
 
 
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Train-mode normalization over the batch (and length) axes."""
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
+               stats: dict | None = None) -> Tensor:
+    """Train-mode normalization over the batch (and length) axes.
+
+    If `stats` is given, the per-feature batch "mean" and (biased) "var" are
+    stored in it, each equal bit for bit to np.mean / np.var over the axes.
+    """
     axes, view = _bn_axes(x)
     if x.shape[0] < 2:
         raise ContractError("batch_norm: train mode needs batch size >= 2")
-    mu = x.data.mean(axis=axes, keepdims=True)
-    var = x.data.var(axis=axes, keepdims=True)
+    n = x.size // x.shape[1]
+    # The same steps np.mean and np.var take, with the centred input shared.
+    mu = x.data.sum(axis=axes, keepdims=True) / n
+    xc = x.data - mu
+    var = (xc * xc).sum(axis=axes, keepdims=True) / n
+    if stats is not None:
+        stats["mean"] = mu.reshape(-1)
+        stats["var"] = var.reshape(-1)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = xc * inv
     gview = gamma.data.reshape([x.shape[1] if v == -1 else v for v in view])
     bview = beta.data.reshape([x.shape[1] if v == -1 else v for v in view])
     out = gview * xhat + bview
-    n = x.size // x.shape[1]
 
     def vjp(g):
-        dgamma = (g * xhat).sum(axis=axes)
-        dbeta = g.sum(axis=axes)
         gsum = g.sum(axis=axes, keepdims=True)
         gxsum = (g * xhat).sum(axis=axes, keepdims=True)
         dx = gview * inv * (g - gsum / n - xhat * gxsum / n)
-        return dx, dgamma, dbeta
+        return dx, gxsum.reshape(gamma.shape), gsum.reshape(beta.shape)
 
     return _make(out, (x, gamma, beta), vjp, "batch_norm")
 

@@ -76,7 +76,7 @@ def _load_config_file(path) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise DataError(f"{path}: line {lineno}: expected key=value")
+            raise _UsageError(f"{path}: line {lineno}: expected key=value, got {line!r}")
         key, val = line.split("=", 1)
         values[key.strip()] = val.strip()
     return values
@@ -188,6 +188,8 @@ def _prepared_split(data_path, tttr: float, split_seed: int):
 def _cmd_train(args) -> int:
     settings = _resolve_train_settings(args)
     seeds = _parse_int_list(settings["seeds"], "--seeds")
+    if not seeds:
+        raise _UsageError(f"--seeds: expected at least one seed, got {settings['seeds']!r}")
     fields = {f.name: settings[f.name] for f in _config_fields()}
     configs = [TrainConfig(**fields, seed=seed) for seed in seeds]
     train_n, _test_n = _prepared_split(args.data, settings["tttr"], settings["split_seed"])

@@ -127,14 +127,13 @@ class BatchNorm1d(Layer):
 
     def forward(self, x: ad.Tensor, train: bool) -> ad.Tensor:
         if train:
-            out = ad.batch_norm(x, self._p(self.gamma), self._p(self.beta), eps=self.eps)
+            stats = {}
+            out = ad.batch_norm(x, self._p(self.gamma), self._p(self.beta), eps=self.eps,
+                                stats=stats)
             if not self.frozen:  # a frozen player's state must not drift
-                axes = (0,) if x.ndim == 2 else (0, 2)
-                mu = x.data.mean(axis=axes)
-                var = x.data.var(axis=axes)
                 m = self.momentum
-                self.running_mean = (1 - m) * self.running_mean + m * mu
-                self.running_var = (1 - m) * self.running_var + m * var
+                self.running_mean = (1 - m) * self.running_mean + m * stats["mean"]
+                self.running_var = (1 - m) * self.running_var + m * stats["var"]
             return out
         return ad.batch_norm_eval(x, self._p(self.gamma), self._p(self.beta),
                                   self.running_mean, self.running_var, eps=self.eps)

@@ -4,9 +4,11 @@ import zlib
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from mgsgan import autodiff as ad
 from mgsgan.errors import ContractError, NumericError, ShapeError
+from mgsgan.layers import BatchNorm1d
 
 from conftest import fd_gradcheck, random_probe, reduce_to_scalar
 
@@ -243,3 +245,123 @@ def test_detach_blocks_gradient():
     loss = ad.sum_(ad.mul(y, ad.const([3.0])))
     ad.backward(loss)
     assert x.grad is None
+
+
+# ---------------------------------------------------------------------------
+# hot-path kernels vs the formulations they replaced: same bits, same layout
+# (later reductions sum in memory order, so the layout is part of the result)
+
+def _old_leaky_relu(x, slope):
+    neg = x < 0
+    return np.where(neg, slope * x, x), lambda g: np.where(neg, slope * g, g)
+
+
+def _old_im2col(x, k, stride, pad, t):
+    if pad:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
+    win = sliding_window_view(x, k, axis=2)[:, :, ::stride][:, :, :t]
+    b, c = x.shape[0], x.shape[1]
+    return np.ascontiguousarray(win.transpose(0, 2, 1, 3)).reshape(b * t, c * k)
+
+
+def _old_batch_norm(x, gamma, beta, eps=1e-5):
+    axes = (0,) if x.ndim == 2 else (0, 2)
+    view = (1, -1) if x.ndim == 2 else (1, -1, 1)
+    mu = x.mean(axis=axes, keepdims=True)
+    var = x.var(axis=axes, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    gview, bview = gamma.reshape(view), beta.reshape(view)
+    n = x.size // x.shape[1]
+
+    def vjp(g):
+        dgamma = (g * xhat).sum(axis=axes)
+        dbeta = g.sum(axis=axes)
+        gsum = g.sum(axis=axes, keepdims=True)
+        gxsum = (g * xhat).sum(axis=axes, keepdims=True)
+        return gview * inv * (g - gsum / n - xhat * gxsum / n), dgamma, dbeta
+
+    return gview * xhat + bview, vjp
+
+
+def _conv_layout(rng, shape):
+    """A (B, C, L) array laid out like a conv1d output (length axis innermost in memory)."""
+    b, c, length = shape
+    x = ad.const(rng.standard_normal((b, 3, length + 2)))
+    w = ad.const(rng.standard_normal((c, 3, 3)))
+    out = ad.conv1d(x, w, ad.const(rng.standard_normal(c))).data
+    assert out.shape == shape and not out.flags.c_contiguous
+    return out
+
+
+def _layouts(rng, shape):
+    if len(shape) == 2:
+        return [rng.standard_normal(shape), np.asfortranarray(rng.standard_normal(shape))]
+    return [rng.standard_normal(shape), _conv_layout(rng, shape)]
+
+
+def _assert_same_bits(new, old):
+    assert (new.shape, new.dtype, new.strides) == (old.shape, old.dtype, old.strides)
+    assert new.tobytes() == old.tobytes()
+
+
+@pytest.mark.parametrize("slope", [0.2, 0.0, 1.0])
+def test_leaky_relu_matches_where_formulation(slope):
+    rng = np.random.default_rng(31)
+    for x in _layouts(rng, (6, 4, 9)):
+        x[:, :, ::4] = 0.0
+        x[:, :, 1::4] = -0.0
+        out = ad.leaky_relu(ad.param(x), slope)
+        old_out, old_vjp = _old_leaky_relu(x, slope)
+        _assert_same_bits(out.data, old_out)
+        for g in _layouts(rng, x.shape):
+            g[::2, :, ::3] = -0.0
+            (dx,) = out._vjp(g)
+            _assert_same_bits(dx, old_vjp(g))
+
+
+@pytest.mark.parametrize("slope", [-0.1, 1.5])
+def test_leaky_relu_rejects_slope_outside_unit_interval(slope):
+    with pytest.raises(ContractError):
+        ad.leaky_relu(ad.const(np.ones((2, 3))), slope)
+
+
+@pytest.mark.parametrize("k,stride,pad", [(3, 1, 1), (4, 2, 1), (1, 1, 0), (5, 2, 0), (7, 3, 3)])
+def test_im2col_matches_pad_and_window_formulation(k, stride, pad):
+    rng = np.random.default_rng(32)
+    for x in _layouts(rng, (5, 3, 12)):
+        t = ad._conv_out_len(x.shape[2], k, stride, pad)
+        _assert_same_bits(ad._im2col(x, k, stride, pad, t), _old_im2col(x, k, stride, pad, t))
+
+
+@pytest.mark.parametrize("shape", [(7, 4), (6, 4, 9)])
+def test_batch_norm_matches_mean_var_formulation(shape):
+    rng = np.random.default_rng(33)
+    c = shape[1]
+    gamma, beta = rng.uniform(0.5, 1.5, size=c), rng.standard_normal(c)
+    axes = (0,) if len(shape) == 2 else (0, 2)
+    for x in _layouts(rng, shape):
+        stats = {}
+        out = ad.batch_norm(ad.param(x), ad.param(gamma), ad.param(beta), stats=stats)
+        old_out, old_vjp = _old_batch_norm(x, gamma, beta)
+        _assert_same_bits(out.data, old_out)
+        _assert_same_bits(stats["mean"], np.mean(x, axis=axes))
+        _assert_same_bits(stats["var"], np.var(x, axis=axes))
+        for g in _layouts(rng, shape):
+            for new, old in zip(out._vjp(g), old_vjp(g)):
+                _assert_same_bits(new, old)
+
+
+def test_batchnorm1d_running_stats_match_mean_and_var():
+    rng = np.random.default_rng(34)
+    for shape in [(7, 4), (6, 4, 9)]:
+        axes = (0,) if len(shape) == 2 else (0, 2)
+        bn = BatchNorm1d(shape[1])
+        rm, rv = bn.running_mean.copy(), bn.running_var.copy()
+        for x in _layouts(rng, shape):
+            bn.forward(ad.const(x), train=True)
+            m = bn.momentum
+            rm = (1 - m) * rm + m * np.mean(x, axis=axes)
+            rv = (1 - m) * rv + m * np.var(x, axis=axes)
+            _assert_same_bits(bn.running_mean, rm)
+            _assert_same_bits(bn.running_var, rv)

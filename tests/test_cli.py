@@ -3,6 +3,8 @@
 import hashlib
 import json
 
+import pytest
+
 from mgsgan.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 
 
@@ -119,6 +121,29 @@ def test_config_file_unparseable_value_is_usage_error(tmp_path, capsys):
                "--config", str(cfg), "--tttr", "0.5", "--batch", "16"])
     assert rc == EXIT_USAGE
     assert "epochs='abc'" in capsys.readouterr().err
+
+
+def test_config_file_line_without_equals_is_usage_error(tmp_path, capsys):
+    data = _synth(tmp_path)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("# run settings\nepochs 1\n", encoding="utf-8")
+    rc = main(["train", "--data", str(data), "--out", str(tmp_path / "run"),
+               "--config", str(cfg), "--tttr", "0.5", "--batch", "16"])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "bad.cfg" in err and "line 2" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("seeds", ["", ","])
+def test_train_empty_seed_list_rejected_before_data_is_read(tmp_path, capsys, seeds):
+    # the data file does not exist: a data error would mean it was read first
+    out = tmp_path / "run"
+    rc = main(["train", "--data", str(tmp_path / "nope.csv"), "--out", str(out),
+               "--epochs", "1", "--tttr", "0.5", "--batch", "16", "--seeds", seeds])
+    assert rc == EXIT_USAGE
+    assert "--seeds" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 def test_train_batch_of_one_rejected_before_data_is_read(tmp_path):
