@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from . import blas
 from .checkpoint import save_checkpoint_bytes
 from .data import SpectralDataset, class_priors
 from .errors import ContractError, NumericError, TrainingAborted
@@ -157,9 +158,10 @@ class _Freezer:
             player.set_frozen(False)
 
 
+@blas.single_thread()
 def train(train_ds: SpectralDataset, config: TrainConfig,
           arch: ArchConfig | None = None, checkpoint_dir=None) -> TrainResult:
-    """Run the configured game on a (normalized) training split.
+    """Run the configured game on a (normalized) training split, on one BLAS thread.
 
     With `checkpoint_dir` set and config.checkpoint_interval > 0, a checkpoint
     file `epoch_<k>.mgsg` is written every interval epochs.
