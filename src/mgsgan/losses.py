@@ -3,8 +3,9 @@
 The adversarial pair works on per-sample probabilities: each sample's log term
 is multiplied by the prior of its class and the weighted terms are averaged
 over the batch. Probabilities are clamped to [PROB_EPS, 1 - PROB_EPS] before
-any log so a saturated player yields a large but finite loss; the first time a
-clamp actually fires in a run it is logged once.
+any log so a saturated player yields a large but finite loss; a run's
+`ClampLog`, passed to the losses, records whether a clamp actually fired, and
+the run logs that once.
 
 The oracle half of the module works on plain discrete distributions and gives
 closed-form references for the optimal discriminator and the value of the
@@ -28,20 +29,29 @@ logger = logging.getLogger(__name__)
 
 PROB_EPS = 1e-7
 
-_clamp_logged = False
+
+class ClampLog:
+    """One run's record of probability clamps.
+
+    `hit` turns True the first time a clamp fires; the run's owner calls
+    `warn_once` to log it. Recording and logging are apart so that a worker
+    process can hand its hit to the process that owns the log.
+    """
+
+    def __init__(self):
+        self.hit = False
+        self._warned = False
+
+    def warn_once(self):
+        """Log the run's clamp warning if a clamp has fired and it is not yet logged."""
+        if self.hit and not self._warned:
+            logger.warning("probability hit 0/1; clamped to [%.0e, 1-%.0e]", PROB_EPS, PROB_EPS)
+            self._warned = True
 
 
-def reset_clamp_log():
-    """Re-arm the once-per-run clamp warning (called at the start of a run)."""
-    global _clamp_logged
-    _clamp_logged = False
-
-
-def _safe_log(p: ad.Tensor) -> ad.Tensor:
-    global _clamp_logged
-    if not _clamp_logged and bool(np.any((p.data <= 0.0) | (p.data >= 1.0))):
-        logger.warning("probability hit 0/1; clamped to [%.0e, 1-%.0e]", PROB_EPS, PROB_EPS)
-        _clamp_logged = True
+def _safe_log(p: ad.Tensor, clamps: ClampLog | None = None) -> ad.Tensor:
+    if clamps is not None and not clamps.hit and bool(np.any((p.data <= 0.0) | (p.data >= 1.0))):
+        clamps.hit = True
     return ad.log(ad.clamp(p, PROB_EPS, 1.0 - PROB_EPS))
 
 
@@ -94,7 +104,7 @@ def _check_batch(x: ad.Tensor, labels: np.ndarray, n_classes: int, who: str) -> 
 def loss_d(disc, real_x: ad.Tensor, real_y: np.ndarray,
            fake_x: ad.Tensor, fake_c: np.ndarray,
            priors: ClassPriors, train: bool = True,
-           stats: dict | None = None) -> ad.Tensor:
+           stats: dict | None = None, clamps: ClampLog | None = None) -> ad.Tensor:
     """Discriminator loss: negated prior-weighted real/fake log-likelihood."""
     real_y = _check_batch(real_x, real_y, priors.class_count, "loss_d")
     fake_c = _check_batch(fake_x, fake_c, priors.class_count, "loss_d")
@@ -105,35 +115,37 @@ def loss_d(disc, real_x: ad.Tensor, real_y: np.ndarray,
     if stats is not None:
         stats["d_real_mean"] = float(d_real.data.mean())
         stats["d_fake_mean"] = float(d_fake.data.mean())
-    term_real = ad.mean_(ad.mul(w_real, _safe_log(d_real)))
-    term_fake = ad.mean_(ad.mul(w_fake, _safe_log(1.0 - d_fake)))
+    term_real = ad.mean_(ad.mul(w_real, _safe_log(d_real, clamps)))
+    term_fake = ad.mean_(ad.mul(w_fake, _safe_log(1.0 - d_fake, clamps)))
     return -(term_real + term_fake)
 
 
 def loss_g(disc, fake_x: ad.Tensor, fake_c: np.ndarray,
-           priors: ClassPriors, saturating: bool = False, train: bool = True) -> ad.Tensor:
+           priors: ClassPriors, saturating: bool = False, train: bool = True,
+           clamps: ClampLog | None = None) -> ad.Tensor:
     """Generator loss; non-saturating -log D(fake) by default."""
     fake_c = _check_batch(fake_x, fake_c, priors.class_count, "loss_g")
     w = ad.const(priors.p_gen[fake_c])
     d_fake = disc.prob(fake_x, train)
     if saturating:
-        return ad.mean_(ad.mul(w, _safe_log(1.0 - d_fake)))
-    return -ad.mean_(ad.mul(w, _safe_log(d_fake)))
+        return ad.mean_(ad.mul(w, _safe_log(1.0 - d_fake, clamps)))
+    return -ad.mean_(ad.mul(w, _safe_log(d_fake, clamps)))
 
 
 def loss_c(cls, real_x: ad.Tensor, real_y: np.ndarray,
            fake_x: ad.Tensor | None, fake_c: np.ndarray | None,
-           priors: ClassPriors, train: bool = True) -> ad.Tensor:
+           priors: ClassPriors, train: bool = True,
+           clamps: ClampLog | None = None) -> ad.Tensor:
     """Classifier loss: prior-weighted cross-entropy on real plus generated."""
     real_y = _check_batch(real_x, real_y, priors.class_count, "loss_c")
     w_real = ad.const(priors.p_cls[real_y])
     p_real = ad.gather(cls.probs(real_x, train), real_y)
-    total = -ad.mean_(ad.mul(w_real, _safe_log(p_real)))
+    total = -ad.mean_(ad.mul(w_real, _safe_log(p_real, clamps)))
     if fake_x is not None:
         fake_c = _check_batch(fake_x, fake_c, priors.class_count, "loss_c")
         w_fake = ad.const(priors.p_cls[fake_c])
         p_fake = ad.gather(cls.probs(fake_x, train), fake_c)
-        total = total - ad.mean_(ad.mul(w_fake, _safe_log(p_fake)))
+        total = total - ad.mean_(ad.mul(w_fake, _safe_log(p_fake, clamps)))
     return total
 
 

@@ -1,8 +1,11 @@
 """End-to-end training loop: per batch, one D step, one C step, one G step.
 
-Every update keeps the other two players frozen (their parameters become
+The D and G updates freeze every other player (their parameters become
 constants for that forward pass, so no gradient can reach them), and the fake
-batch fed to the D and C updates is detached from the generator graph. Noise,
+batch fed to the D and C updates is detached from the generator graph. The C
+step reads only real rows and that detached batch, so in mgsgan and acsgan it
+runs in a worker process that owns the classifier, beside the D and G steps
+of the same batch; its results are the same bits as in the order D, C, G. Noise,
 class sampling, data order and initialization each draw from their own seeded
 stream, so a run is bit-reproducible from (seed, config, dataset) and all
 modes share the same data order for a given seed.
@@ -16,7 +19,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
+import signal
 import time
+import traceback
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -27,8 +33,8 @@ from . import blas
 from .checkpoint import save_checkpoint_bytes
 from .data import SpectralDataset, class_priors
 from .errors import ContractError, NumericError, TrainingAborted
-from .layers import Adam
-from .losses import ClassPriors, _safe_log, loss_c, loss_d, loss_g, reset_clamp_log
+from .layers import Adam, BatchNorm1d
+from .losses import ClampLog, ClassPriors, _safe_log, loss_c, loss_d, loss_g
 from .models import (MODES, ArchConfig, Classifier, Discriminator, HeadClassifier,
                      _take_cols, build_players, compute_class_domains, generate)
 
@@ -172,7 +178,7 @@ def train(train_ds: SpectralDataset, config: TrainConfig,
             f"train: batch {config.batch} exceeds training-set size {train_ds.size}"
         )
     n, d = train_ds.class_count, train_ds.band_count
-    reset_clamp_log()
+    clamps = ClampLog()
 
     rng_init = np.random.default_rng([config.seed, 10])
     rng_shuffle = np.random.default_rng([config.seed, 11])
@@ -196,98 +202,218 @@ def train(train_ds: SpectralDataset, config: TrainConfig,
 
     n_batches = train_ds.size // config.batch
     last_good = None
-    for epoch in range(config.epochs):
-        tic = time.perf_counter()
-        perm = rng_shuffle.permutation(train_ds.size)
-        digest = hashlib.sha256(np.ascontiguousarray(perm, dtype="<i8").tobytes()).hexdigest()[:16]
-        sums = {"loss_d": 0.0, "loss_g": 0.0, "loss_c": 0.0,
-                "d_real": 0.0, "d_fake": 0.0}
-        inside = np.zeros(n)
-        made = np.zeros(n)
-        for b in range(n_batches):
-            idx = perm[b * config.batch : (b + 1) * config.batch]
-            real_x = ad.const(train_ds.samples[idx])
-            real_y = train_ds.labels[idx]
-            z = _draw_noise(rng_noise, config.batch, config.noise_dim, config.noise_dist)
-            classes = rng_class.choice(n, size=config.batch, p=priors.p_gen)
-            try:
-                stats = _train_batch(config, players, adams, priors, real_x, real_y, z, classes)
-            except NumericError as exc:
-                raise TrainingAborted(
-                    f"non-finite loss at epoch {epoch}, batch {b}: {exc}",
-                    epoch=epoch, batch=b, last_good=last_good,
-                ) from exc
-            for key in sums:
-                sums[key] += stats[key]
-            fake_vals = stats["fake_values"]
-            for j in range(n):
-                sel = classes == j
-                made[j] += sel.sum()
-                if sel.any():
-                    inside[j] += int(domains[j].contains(fake_vals[sel]).sum())
-        containment = [float(inside[j] / made[j]) if made[j] else None for j in range(n)]
-        overall = float(inside.sum() / made.sum()) if made.sum() else 1.0
-        runlog.append(EpochRecord(
-            epoch=epoch,
-            loss_d=sums["loss_d"] / max(n_batches, 1),
-            loss_g=sums["loss_g"] / max(n_batches, 1),
-            loss_c=sums["loss_c"] / max(n_batches, 1),
-            d_real_mean=sums["d_real"] / max(n_batches, 1),
-            d_fake_mean=sums["d_fake"] / max(n_batches, 1),
-            containment=containment,
-            containment_overall=overall,
-            data_order_digest=digest,
-            wall_clock=time.perf_counter() - tic,
-        ))
-        last_good = result.checkpoint_bytes()
-        if (checkpoint_dir is not None and config.checkpoint_interval > 0
-                and (epoch + 1) % config.checkpoint_interval == 0):
-            path = Path(checkpoint_dir) / f"epoch_{epoch + 1}.mgsg"
-            path.write_bytes(last_good)
+    worker = None
+    if "c" in players:
+        worker = _ClassifierWorker(players["c"], adams.pop("c"), train_ds, priors, clamps)
+    try:
+        for epoch in range(config.epochs):
+            tic = time.perf_counter()
+            perm = rng_shuffle.permutation(train_ds.size)
+            digest = hashlib.sha256(
+                np.ascontiguousarray(perm, dtype="<i8").tobytes()).hexdigest()[:16]
+            sums = {"loss_d": 0.0, "loss_g": 0.0, "loss_c": 0.0,
+                    "d_real": 0.0, "d_fake": 0.0}
+            inside = np.zeros(n)
+            made = np.zeros(n)
+            for b in range(n_batches):
+                idx = perm[b * config.batch : (b + 1) * config.batch]
+                z = _draw_noise(rng_noise, config.batch, config.noise_dim, config.noise_dist)
+                classes = rng_class.choice(n, size=config.batch, p=priors.p_gen)
+                try:
+                    stats = _train_batch(config, players, adams, priors, train_ds, idx, z,
+                                         classes, worker, clamps)
+                except NumericError as exc:
+                    raise TrainingAborted(
+                        f"non-finite loss at epoch {epoch}, batch {b}: {exc}",
+                        epoch=epoch, batch=b, last_good=last_good,
+                    ) from exc
+                finally:
+                    clamps.warn_once()
+                for key in sums:
+                    sums[key] += stats[key]
+                fake_vals = stats["fake_values"]
+                for j in range(n):
+                    sel = classes == j
+                    made[j] += sel.sum()
+                    if sel.any():
+                        inside[j] += int(domains[j].contains(fake_vals[sel]).sum())
+            if worker is not None:
+                worker.pull_classifier()
+            containment = [float(inside[j] / made[j]) if made[j] else None for j in range(n)]
+            overall = float(inside.sum() / made.sum()) if made.sum() else 1.0
+            runlog.append(EpochRecord(
+                epoch=epoch,
+                loss_d=sums["loss_d"] / max(n_batches, 1),
+                loss_g=sums["loss_g"] / max(n_batches, 1),
+                loss_c=sums["loss_c"] / max(n_batches, 1),
+                d_real_mean=sums["d_real"] / max(n_batches, 1),
+                d_fake_mean=sums["d_fake"] / max(n_batches, 1),
+                containment=containment,
+                containment_overall=overall,
+                data_order_digest=digest,
+                wall_clock=time.perf_counter() - tic,
+            ))
+            last_good = result.checkpoint_bytes()
+            if (checkpoint_dir is not None and config.checkpoint_interval > 0
+                    and (epoch + 1) % config.checkpoint_interval == 0):
+                path = Path(checkpoint_dir) / f"epoch_{epoch + 1}.mgsg"
+                path.write_bytes(last_good)
+    finally:
+        if worker is not None:
+            worker.close()
     return result
 
 
-def _train_batch(config, players, adams, priors, real_x, real_y, z, classes) -> dict:
+def _train_batch(config, players, adams, priors, train_ds, idx, z, classes,
+                 worker, clamps) -> dict:
     disc = players["d"]
+    real_x = ad.const(train_ds.samples[idx])
+    real_y = train_ds.labels[idx]
     fake = generate(players["g"], z, classes)
     fake_det = fake.detach()
     stats = {"fake_values": fake.data}
     adam_d, adam_g = adams["d"], adams["g"]
 
-    if config.mode == "achsgan":
+    if worker is None:
         return _achsgan_steps(config, players, adam_d, adam_g, priors,
-                              real_x, real_y, fake, fake_det, classes, stats)
+                              real_x, real_y, fake, fake_det, classes, stats, clamps)
 
-    cls, adam_c = players["c"], adams["c"]
+    # C(b) runs in the worker while D(b) and G(b) run here. If D(b) fails, C(b)'s
+    # reply is never read; the game's order is D, C, G, so C(b)'s error wins over G(b)'s.
+    worker.submit(idx, fake.data, classes)
     aux = {}
     with _Freezer(players, "d"):
         adam_d.zero_grad()
-        ld = loss_d(disc, real_x, real_y, fake_det, classes, priors, train=True, stats=aux)
+        ld = loss_d(disc, real_x, real_y, fake_det, classes, priors, train=True, stats=aux,
+                    clamps=clamps)
         ad.backward(ld)
         adam_d.step()
-    with _Freezer(players, "c"):
-        adam_c.zero_grad()
-        lc = loss_c(cls, real_x, real_y, fake_det, classes, priors, train=True)
-        ad.backward(lc)
-        adam_c.step()
-    with _Freezer(players, "g"):
-        adam_g.zero_grad()
-        lg = loss_g(disc, fake, classes, priors,
-                    saturating=config.gen_loss == "saturating", train=True)
-        ad.backward(lg)
-        # generators whose class was not sampled this batch have a zero gradient
-        for p in adam_g.params:
-            if p.grad is None:
-                p.grad = np.zeros_like(p.data)
-        adam_g.step()
+    try:
+        with _Freezer(players, "g"):
+            adam_g.zero_grad()
+            lg = loss_g(disc, fake, classes, priors,
+                        saturating=config.gen_loss == "saturating", train=True, clamps=clamps)
+            ad.backward(lg)
+            # generators whose class was not sampled this batch have a zero gradient
+            for p in adam_g.params:
+                if p.grad is None:
+                    p.grad = np.zeros_like(p.data)
+            adam_g.step()
+    finally:
+        lc = worker.result()
 
-    stats.update(loss_d=ld.item(), loss_c=lc.item(), loss_g=lg.item(),
+    stats.update(loss_d=ld.item(), loss_c=lc, loss_g=lg.item(),
                  d_real=aux["d_real_mean"], d_fake=aux["d_fake_mean"])
     return stats
 
 
+def _c_step(cls, adam, priors, real_x, real_y, fake_det, classes, clamps) -> float:
+    adam.zero_grad()
+    lc = loss_c(cls, real_x, real_y, fake_det, classes, priors, train=True, clamps=clamps)
+    ad.backward(lc)
+    adam.step()
+    return lc.item()
+
+
+def _classifier_state(cls) -> tuple[list, list]:
+    """The classifier's parameter arrays and its batch norms' running statistics."""
+    bns = [layer for layer in cls.layers if isinstance(layer, BatchNorm1d)]
+    return ([p.data for p in cls.parameters()],
+            [(bn.running_mean, bn.running_var) for bn in bns])
+
+
+def _load_classifier_state(cls, state):
+    params, running = state
+    for p, data in zip(cls.parameters(), params, strict=True):
+        p.data = data
+    bns = [layer for layer in cls.layers if isinstance(layer, BatchNorm1d)]
+    for bn, (mean, var) in zip(bns, running, strict=True):
+        bn.running_mean, bn.running_var = mean, var
+
+
+def _serve_classifier(conn, parent_end, cls, adam, train_ds, priors, clamps):
+    """Worker loop: a C step per (idx, fake, classes) message, the state per None.
+
+    A step replies (loss, None, clamp hit) or, when it raised, (exception,
+    formatted traceback, clamp hit). Returns when the parent closes the pipe.
+    """
+    parent_end.close()  # the forked copy of the parent's end would hold off EOF
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles ^C and closes the pipe
+    try:
+        while True:
+            msg = conn.recv()
+            if msg is None:
+                conn.send(_classifier_state(cls))
+                continue
+            idx, fake, classes = msg
+            try:
+                lc = _c_step(cls, adam, priors, ad.const(train_ds.samples[idx]),
+                             train_ds.labels[idx], ad.const(fake), classes, clamps)
+                reply = (lc, None)
+            except Exception as exc:  # sent to the parent, which raises it
+                reply = (exc, traceback.format_exc())
+            conn.send((*reply, clamps.hit))
+    except (EOFError, ConnectionError):
+        return
+
+
+class _ClassifierWorker:
+    """The classifier and its optimizer, updated in a forked process.
+
+    The C step reads only real rows and the detached fake batch, and nothing
+    flows from it back to D or G, so it can run beside them on the second
+    core (threads cannot: the interpreter lock serialises the many small ops).
+    Fork, not spawn: the worker starts from the parent's players, training set
+    and priors without pickling them. The parent's copy of the classifier is
+    brought up to date by `pull_classifier`.
+    """
+
+    def __init__(self, cls, adam, train_ds, priors, clamps):
+        ctx = multiprocessing.get_context("fork")
+        self.cls = cls
+        self.clamps = clamps
+        self.conn, child = ctx.Pipe()
+        self.proc = ctx.Process(target=_serve_classifier, daemon=True,
+                                args=(child, self.conn, cls, adam, train_ds, priors, clamps))
+        self.proc.start()
+        child.close()
+
+    def submit(self, idx, fake, classes):
+        """Start the C step on rows idx of the training set and a fake batch."""
+        self.conn.send((idx, fake, classes))
+
+    def result(self) -> float:
+        """The submitted C step's loss; raises what the step raised."""
+        value, tb, hit = self._recv()
+        self.clamps.hit |= hit
+        if tb is not None:
+            raise value from RuntimeError(f"in the classifier worker:\n{tb}")
+        return value
+
+    def pull_classifier(self):
+        """Copy the worker's classifier weights and running statistics into the parent's."""
+        self.conn.send(None)
+        _load_classifier_state(self.cls, self._recv())
+
+    def _recv(self):
+        try:
+            return self.conn.recv()
+        except EOFError:
+            self.proc.join(timeout=1)
+            raise RuntimeError(
+                f"classifier worker exited (exit code {self.proc.exitcode})") from None
+
+    def close(self):
+        """Close the pipe, so the worker exits, and reap it."""
+        self.conn.close()
+        self.proc.join(timeout=5)
+        if self.proc.is_alive():  # still in a C step whose result is not wanted
+            self.proc.terminate()
+            self.proc.join()
+
+
 def _achsgan_steps(config, players, adam_d, adam_g, priors,
-                   real_x, real_y, fake, fake_det, classes, stats) -> dict:
+                   real_x, real_y, fake, fake_det, classes, stats, clamps) -> dict:
     """Two-player variant: the discriminator's N+1 outputs carry both games."""
     disc = players["d"]
     n = disc.n_out - 1
@@ -306,10 +432,10 @@ def _achsgan_steps(config, players, adam_d, adam_g, priors,
         adam_d.zero_grad()
         adv_r, probs_r = heads(real_x)
         adv_f, probs_f = heads(fake_det)
-        ce_real = ad.mean_(ad.mul(w_cr, _safe_log(ad.gather(probs_r, real_y))))
-        ce_fake = ad.mean_(ad.mul(w_cf, _safe_log(ad.gather(probs_f, classes))))
-        ld = -(ad.mean_(ad.mul(w_r, _safe_log(adv_r)))
-               + ad.mean_(ad.mul(w_g, _safe_log(1.0 - adv_f)))
+        ce_real = ad.mean_(ad.mul(w_cr, _safe_log(ad.gather(probs_r, real_y), clamps)))
+        ce_fake = ad.mean_(ad.mul(w_cf, _safe_log(ad.gather(probs_f, classes), clamps)))
+        ld = -(ad.mean_(ad.mul(w_r, _safe_log(adv_r, clamps)))
+               + ad.mean_(ad.mul(w_g, _safe_log(1.0 - adv_f, clamps)))
                + ce_real + ce_fake)
         ad.backward(ld)
         adam_d.step()
@@ -317,11 +443,11 @@ def _achsgan_steps(config, players, adam_d, adam_g, priors,
     with _Freezer(players, "g"):
         adam_g.zero_grad()
         adv_fl, probs_fl = heads(fake)
-        ce_fl = ad.mean_(ad.mul(w_cf, _safe_log(ad.gather(probs_fl, classes))))
+        ce_fl = ad.mean_(ad.mul(w_cf, _safe_log(ad.gather(probs_fl, classes), clamps)))
         if config.gen_loss == "saturating":
-            lg = ad.mean_(ad.mul(w_g, _safe_log(1.0 - adv_fl))) - ce_fl
+            lg = ad.mean_(ad.mul(w_g, _safe_log(1.0 - adv_fl, clamps))) - ce_fl
         else:
-            lg = -(ad.mean_(ad.mul(w_g, _safe_log(adv_fl))) + ce_fl)
+            lg = -(ad.mean_(ad.mul(w_g, _safe_log(adv_fl, clamps))) + ce_fl)
         ad.backward(lg)
         adam_g.step()
 

@@ -197,18 +197,26 @@ def test_loss_empty_batch_rejected():
 def test_probability_clamp_logged_once_per_run(caplog):
     import logging
 
-    from mgsgan.losses import reset_clamp_log
+    from mgsgan.losses import ClampLog
 
     rng = np.random.default_rng(8)
     priors = ClassPriors.uniform(1)
-    reset_clamp_log()
     with caplog.at_level(logging.WARNING, logger="mgsgan.losses"):
+        clamps = ClampLog()
+        loss_g(ConstantDisc(0.5), _batch(rng, 4, 2), np.zeros(4, dtype=int), priors,
+               clamps=clamps)
+        clamps.warn_once()
+        assert not clamps.hit and caplog.records == []
         for _ in range(3):
-            loss_g(ConstantDisc(1.0), _batch(rng, 4, 2), np.zeros(4, dtype=int), priors)
-    assert sum("clamped" in r.message for r in caplog.records) == 1
-    reset_clamp_log()
-    with caplog.at_level(logging.WARNING, logger="mgsgan.losses"):
-        loss_g(ConstantDisc(1.0), _batch(rng, 4, 2), np.zeros(4, dtype=int), priors)
+            loss_g(ConstantDisc(1.0), _batch(rng, 4, 2), np.zeros(4, dtype=int), priors,
+                   clamps=clamps)
+            clamps.warn_once()
+        assert clamps.hit
+        assert sum("clamped" in r.message for r in caplog.records) == 1
+        clamps = ClampLog()  # the next run
+        loss_g(ConstantDisc(1.0), _batch(rng, 4, 2), np.zeros(4, dtype=int), priors,
+               clamps=clamps)
+        clamps.warn_once()
     assert sum("clamped" in r.message for r in caplog.records) == 2
 
 

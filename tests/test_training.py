@@ -1,5 +1,7 @@
 """Training-engine contracts: update order, isolation, determinism, abort."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -253,3 +255,100 @@ def test_toy_equilibrium_discriminator_near_half():
         finals_fake.append(rec.d_fake_mean)
     assert abs(np.median(finals_real) - 0.5) < 0.1
     assert abs(np.median(finals_fake) - 0.5) < 0.1
+
+
+# ---------------------------------------------------------------------------
+# the classifier's worker process (mgsgan and acsgan); it is forked, so it
+# inherits the monkeypatched `training.loss_c` and counts its own calls
+
+
+def _poison(monkeypatch, name, at_call, exc):
+    """Make training.<name> raise exc on its at_call-th call in its process."""
+    calls = {"n": 0}
+    real = getattr(training, name)
+
+    def poisoned(*args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] == at_call:
+            raise exc
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(training, name, poisoned)
+
+
+def test_classifier_clamp_logged_once_in_the_parent(monkeypatch, caplog):
+    import logging
+    import os
+
+    from mgsgan.losses import _safe_log
+
+    ds = _toy_ds(n_per=16, d=8, n_classes=2)
+    cfg = TrainConfig(epochs=2, batch=16, seed=1, mode="mgsgan")
+    with caplog.at_level(logging.WARNING, logger="mgsgan.losses"):
+        train(ds, cfg)
+    assert caplog.records == []  # D and G never clamp on this set
+    real_loss_c = training.loss_c
+
+    def clamping_loss_c(*args, clamps=None, **kwargs):
+        _safe_log(ad.const(np.ones(2)), clamps)  # a clamp in every C step
+        return real_loss_c(*args, clamps=clamps, **kwargs)
+
+    monkeypatch.setattr(training, "loss_c", clamping_loss_c)
+    with caplog.at_level(logging.WARNING, logger="mgsgan.losses"):
+        train(ds, cfg)
+    clamped = [r for r in caplog.records if "clamped" in r.message]
+    assert len(clamped) == 1 and clamped[0].process == os.getpid()
+    assert multiprocessing.active_children() == []
+
+
+def test_classifier_step_abort_has_context_and_last_good(monkeypatch):
+    ds = _toy_ds(n_per=16, d=8, n_classes=2)
+    one_epoch = train(ds, TrainConfig(epochs=1, batch=16, seed=1, mode="mgsgan"))
+    init = train(ds, TrainConfig(epochs=0, batch=16, seed=1, mode="mgsgan"))
+    # the parent's classifier holds the worker's epoch-end weights
+    assert _params_bytes(one_epoch.classifier) != _params_bytes(init.classifier)
+    # call 3 is the first batch of the second epoch (2 batches/epoch)
+    _poison(monkeypatch, "loss_c", 3, NumericError("poisoned C"))
+    with pytest.raises(TrainingAborted, match="poisoned C") as err:
+        train(ds, TrainConfig(epochs=4, batch=16, seed=1, mode="mgsgan"))
+    assert err.value.epoch == 1 and err.value.batch == 0
+    assert err.value.last_good == one_epoch.checkpoint_bytes()
+    assert load_checkpoint_bytes(err.value.last_good).mode == "mgsgan"
+    assert multiprocessing.active_children() == []
+
+
+def test_classifier_error_is_reported_over_generator_error(monkeypatch):
+    ds = _toy_ds(n_per=16, d=8, n_classes=2)
+    _poison(monkeypatch, "loss_c", 3, NumericError("poisoned C"))
+    _poison(monkeypatch, "loss_g", 3, NumericError("poisoned G"))
+    with pytest.raises(TrainingAborted, match="poisoned C") as err:
+        train(ds, TrainConfig(epochs=2, batch=16, seed=1, mode="acsgan"))
+    assert err.value.epoch == 1 and err.value.batch == 0
+
+
+def test_discriminator_error_discards_the_classifier_result(monkeypatch):
+    ds = _toy_ds(n_per=16, d=8, n_classes=2)
+    workers = []
+    real_loss_d = training.loss_d
+
+    def watching_loss_d(*args, **kwargs):
+        workers.extend(multiprocessing.active_children())
+        return real_loss_d(*args, **kwargs)
+
+    monkeypatch.setattr(training, "loss_d", watching_loss_d)
+    _poison(monkeypatch, "loss_d", 3, NumericError("poisoned D"))
+    _poison(monkeypatch, "loss_c", 3, ValueError("C fails too"))
+    with pytest.raises(TrainingAborted, match="poisoned D") as err:
+        train(ds, TrainConfig(epochs=2, batch=16, seed=1, mode="mgsgan"))
+    assert err.value.epoch == 1 and err.value.batch == 0
+    assert workers and all(w.daemon for w in workers) and len(set(workers)) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_classifier_worker_exception_keeps_its_type(monkeypatch):
+    ds = _toy_ds(n_per=16, d=8, n_classes=2)
+    _poison(monkeypatch, "loss_c", 2, KeyError("not numeric"))
+    with pytest.raises(KeyError, match="not numeric") as err:
+        train(ds, TrainConfig(epochs=2, batch=16, seed=1, mode="mgsgan"))
+    assert "in the classifier worker" in str(err.value.__cause__)
+    assert multiprocessing.active_children() == []
