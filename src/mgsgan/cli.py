@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import blas
 from .checkpoint import LoadedCheckpoint, load_checkpoint
 from .data import (SpectralDataset, SplitSpec, load_dataset, make_synthetic,
                    normalize_pair, save_dataset, split_tttr)
@@ -51,12 +52,14 @@ def _sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(path: Path, command: str, settings: dict, inputs: dict, outputs: list):
+def _write_manifest(path: Path, command: str, settings: dict, inputs: dict, outputs: list,
+                    **extra):
     manifest = {
         "command": command,
         "settings": settings,
         "inputs": {k: _sha256_file(v) for k, v in inputs.items()},
         "outputs": [str(p) for p in outputs],
+        **extra,
     }
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -196,6 +199,12 @@ def _cmd_train(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
+
+    def write_manifest(**extra):
+        # blas: the library and thread count the runs used, which the bits depend on
+        _write_manifest(out_dir / "manifest.json", "train", {**settings, "seeds": seeds},
+                        {"data": args.data}, outputs, blas=blas.describe(), **extra)
+
     for config in configs:
         seed_dir = out_dir / f"seed_{config.seed}"
         seed_dir.mkdir(parents=True, exist_ok=True)
@@ -208,6 +217,7 @@ def _cmd_train(args) -> int:
                 salvaged.write_bytes(exc.last_good)
                 salvage = f"last good checkpoint in {salvaged}"
             print(f"training aborted: {exc} ({salvage})", file=sys.stderr)
+            write_manifest(aborted_seed=config.seed)  # lists the seeds that finished
             raise
         ckpt = seed_dir / "checkpoint.mgsg"
         ckpt.write_bytes(result.checkpoint_bytes())
@@ -216,8 +226,7 @@ def _cmd_train(args) -> int:
             result.runlog.to_timing_json() + "\n", encoding="utf-8")
         outputs += [ckpt, seed_dir / "runlog.jsonl"]
         print(f"seed {config.seed}: wrote {ckpt}")
-    _write_manifest(out_dir / "manifest.json", "train",
-                    {**settings, "seeds": seeds}, {"data": args.data}, outputs)
+    write_manifest()
     return EXIT_OK
 
 

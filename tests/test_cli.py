@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from mgsgan import blas
 from mgsgan.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 
 
@@ -69,6 +70,39 @@ def test_train_two_seeds_two_runlogs_one_manifest(tmp_path):
     assert logs[0].read_text() != logs[1].read_text()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["settings"]["seeds"] == [3, 4]
+    assert "aborted_seed" not in manifest
+    # the BLAS the bits depend on, at the one thread train runs it with
+    assert manifest["blas"] == blas.describe() and manifest["blas"]["threads"] in (1, None)
+    assert manifest["blas"]["name"] is not None
+
+
+def test_train_abort_at_second_seed_writes_manifest_of_finished_seeds(tmp_path, monkeypatch):
+    import mgsgan.training as training
+    from mgsgan.cli import EXIT_NUMERIC
+    from mgsgan.errors import NumericError
+
+    data = _synth(tmp_path)  # 46 training rows: one batch of 32 per epoch
+    calls = {"n": 0}
+    real_loss_d = training.loss_d
+
+    def poisoned(*args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] == 4:  # seed 4's second epoch
+            raise NumericError("poisoned")
+        return real_loss_d(*args, **kwargs)
+
+    monkeypatch.setattr(training, "loss_d", poisoned)
+    out = tmp_path / "run"
+    rc = main(["train", "--data", str(data), "--out", str(out), "--epochs", "2",
+               "--tttr", "0.5", "--batch", "32", "--seeds", "3,4,5"])
+    assert rc == EXIT_NUMERIC
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["aborted_seed"] == 4
+    assert manifest["settings"]["seeds"] == [3, 4, 5]
+    assert manifest["outputs"] == [str(out / "seed_3" / "checkpoint.mgsg"),
+                                   str(out / "seed_3" / "runlog.jsonl")]
+    assert (out / "seed_4" / "checkpoint.aborted.mgsg").exists()
+    assert not (out / "seed_5").exists()
 
 
 def test_train_missing_data_is_data_error(tmp_path):
@@ -180,6 +214,29 @@ def test_eval_dimension_mismatch_is_data_error(tmp_path):
     rc = main(["eval", "--data", str(other), "--run-dir", str(out),
                "--tttr", "0.5", "--out", str(tmp_path / "rep")])
     assert rc == EXIT_DATA
+
+
+@pytest.mark.parametrize("name", ["bad.csv", "bad.bin"])
+def test_non_finite_data_is_data_error_before_training(tmp_path, capsys, name):
+    from mgsgan.data import load_dataset, save_dataset
+
+    data = _synth(tmp_path)
+    out = tmp_path / "run"
+    main(["train", "--data", str(data), "--out", str(out), "--epochs", "0",
+          "--tttr", "0.5", "--batch", "16", "--seeds", "0"])
+    ds = load_dataset(data)
+    ds.samples[5, 3] = float("nan")
+    bad = tmp_path / name
+    save_dataset(bad, ds)
+    capsys.readouterr()
+    rc = main(["train", "--data", str(bad), "--out", str(tmp_path / "bad_run"), "--epochs", "2",
+               "--tttr", "0.5", "--batch", "16", "--seeds", "0"])
+    assert rc == EXIT_DATA
+    assert not (tmp_path / "bad_run").exists()
+    rc = main(["eval", "--data", str(bad), "--run-dir", str(out),
+               "--tttr", "0.5", "--out", str(tmp_path / "rep")])
+    assert rc == EXIT_DATA
+    assert capsys.readouterr().err.count("band 3 is nan") == 2
 
 
 def test_eval_requires_exactly_one_source(tmp_path):

@@ -72,6 +72,23 @@ def test_bin_rejects_garbage(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_csv_non_finite_sample_rejected(tmp_path, value):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"d=2,N=2\n0.0,1.0,0\n2.0,{value},1\n", encoding="utf-8")
+    with pytest.raises(DataError, match=f"sample 1 .*band 1 is {value}"):
+        load_csv(path)
+
+
+def test_bin_non_finite_sample_rejected(tmp_path):
+    ds = _tiny_ds()
+    ds.samples[2, 0] = np.nan  # after the constructor's check, as a foreign writer might
+    path = tmp_path / "bad.bin"
+    save_bin(path, ds)
+    with pytest.raises(DataError, match="sample 2 .*band 0 is nan"):
+        load_dataset(path)
+
+
 def test_split_rounding_examples():
     rng = np.random.default_rng(0)
     ds = SpectralDataset(rng.standard_normal((220, 3)),

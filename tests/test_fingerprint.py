@@ -19,6 +19,7 @@ import hashlib
 
 import pytest
 
+from mgsgan import blas
 from mgsgan.cli import EXIT_OK, main
 from mgsgan.data import make_synthetic, save_dataset
 
@@ -57,6 +58,13 @@ def _sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _blas_note():
+    """The BLAS behind a digest mismatch: another library or CPU may sum in another order."""
+    info = blas.describe()
+    return (f"digests differ under BLAS {info['name']} {info['version']}, "
+            f"{info['threads']} thread(s)")
+
+
 @pytest.fixture(scope="module")
 def data_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("fingerprint") / "ds.csv"
@@ -84,14 +92,14 @@ def _train(data_path, mode, epochs=3, batch=16):
 def test_train_artifacts_match_pinned_digests(data_path, mode):
     seed_dir = _train(data_path, mode)
     got = {name: _sha(seed_dir / name) for name in PINNED[mode]}
-    assert got == PINNED[mode]
+    assert got == PINNED[mode], _blas_note()
 
 
 @pytest.mark.parametrize("mode", sorted(PINNED_WIDE))
 def test_wide_train_artifacts_match_pinned_digests(wide_data_path, mode):
     seed_dir = _train(wide_data_path, mode, epochs=2, batch=64)
     got = {name: _sha(seed_dir / name) for name in PINNED_WIDE[mode]}
-    assert got == PINNED_WIDE[mode]
+    assert got == PINNED_WIDE[mode], _blas_note()
 
 
 def test_export_spectra_matches_pinned_digest(data_path):
@@ -101,4 +109,4 @@ def test_export_spectra_matches_pinned_digest(data_path):
                "--data", str(data_path), "--tttr", "0.5", "--split-seed", "0",
                "--out", str(csv_path)])
     assert rc == EXIT_OK
-    assert _sha(csv_path) == PINNED_EXPORT
+    assert _sha(csv_path) == PINNED_EXPORT, _blas_note()
