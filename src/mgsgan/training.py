@@ -307,14 +307,6 @@ def _train_batch(config, players, adams, priors, train_ds, idx, z, classes,
     return stats
 
 
-def _c_step(cls, adam, priors, real_x, real_y, fake_det, classes, clamps) -> float:
-    adam.zero_grad()
-    lc = loss_c(cls, real_x, real_y, fake_det, classes, priors, train=True, clamps=clamps)
-    ad.backward(lc)
-    adam.step()
-    return lc.item()
-
-
 def _classifier_state(cls) -> tuple[list, list]:
     """The classifier's parameter arrays and its batch norms' running statistics."""
     bns = [layer for layer in cls.layers if isinstance(layer, BatchNorm1d)]
@@ -347,9 +339,12 @@ def _serve_classifier(conn, parent_end, cls, adam, train_ds, priors, clamps):
                 continue
             idx, fake, classes = msg
             try:
-                lc = _c_step(cls, adam, priors, ad.const(train_ds.samples[idx]),
-                             train_ds.labels[idx], ad.const(fake), classes, clamps)
-                reply = (lc, None)
+                adam.zero_grad()
+                lc = loss_c(cls, ad.const(train_ds.samples[idx]), train_ds.labels[idx],
+                            ad.const(fake), classes, priors, train=True, clamps=clamps)
+                ad.backward(lc)
+                adam.step()
+                reply = (lc.item(), None)
             except Exception as exc:  # sent to the parent, which raises it
                 reply = (exc, traceback.format_exc())
             conn.send((*reply, clamps.hit))
