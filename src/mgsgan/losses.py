@@ -50,6 +50,7 @@ class ClampLog:
 
 
 def _safe_log(p: ad.Tensor, clamps: ClampLog | None = None) -> ad.Tensor:
+    """log(p) with p clamped into [PROB_EPS, 1 - PROB_EPS]; marks `clamps` when a clamp fires."""
     if clamps is not None and not clamps.hit and bool(np.any((p.data <= 0.0) | (p.data >= 1.0))):
         clamps.hit = True
     return ad.log(ad.clamp(p, PROB_EPS, 1.0 - PROB_EPS))
