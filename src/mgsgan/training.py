@@ -328,6 +328,12 @@ def _serve_classifier(conn, parent_end, cls, adam, train_ds, priors, clamps):
 
     A step replies (loss, None, clamp hit) or, when it raised, (exception,
     formatted traceback, clamp hit). Returns when the parent closes the pipe.
+
+    The step clears the gradients itself instead of calling `Adam.zero_grad`:
+    the per-layer tracer (perfbench/hooks.py), whose hooks a forked worker
+    inherits, counts each zero_grad/step pair as the next of the batch's D, C
+    and G updates and restarts that count at the generator call, which only
+    the parent makes; with zero_grad the worker's count would run past G.
     """
     parent_end.close()  # the forked copy of the parent's end would hold off EOF
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles ^C and closes the pipe
@@ -339,7 +345,8 @@ def _serve_classifier(conn, parent_end, cls, adam, train_ds, priors, clamps):
                 continue
             idx, fake, classes = msg
             try:
-                adam.zero_grad()
+                for p in adam.params:
+                    p.grad = None
                 lc = loss_c(cls, ad.const(train_ds.samples[idx]), train_ds.labels[idx],
                             ad.const(fake), classes, priors, train=True, clamps=clamps)
                 ad.backward(lc)
