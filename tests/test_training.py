@@ -286,7 +286,7 @@ def test_classifier_clamp_logged_once_in_the_parent(monkeypatch, caplog):
     cfg = TrainConfig(epochs=2, batch=16, seed=1, mode="mgsgan")
     with caplog.at_level(logging.WARNING, logger="mgsgan.losses"):
         train(ds, cfg)
-    assert caplog.records == []  # D and G never clamp on this set
+    assert not [r for r in caplog.records if "clamped" in r.message]  # D and G never clamp here
     real_loss_c = training.loss_c
 
     def clamping_loss_c(*args, clamps=None, **kwargs):
