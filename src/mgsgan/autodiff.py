@@ -21,6 +21,7 @@ reductions sum in memory order and a different layout changes their bits.
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -121,9 +122,26 @@ def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
     return arr
 
 
+_recording = True  # False inside no_grad()
+
+
+@contextmanager
+def no_grad():
+    """Ops run inside the block record no tape: every output is a plain constant.
+
+    The forward values are the same bits; nothing is kept for a backward pass.
+    """
+    global _recording
+    prev, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = prev
+
+
 def _make(data, parents, vjp, op: str) -> Tensor:
     _check_finite(data, op)
-    rg = any(p.requires_grad or p._vjp is not None for p in parents)
+    rg = _recording and any(p.requires_grad or p._vjp is not None for p in parents)
     if not rg:
         return Tensor(data)
     return Tensor(data, requires_grad=True, _parents=tuple(parents), _vjp=vjp)
@@ -318,6 +336,23 @@ def gather(x: Tensor, index: np.ndarray) -> Tensor:
     return _make(out, (x,), vjp, "gather")
 
 
+def permute_rows(x: Tensor, perm: np.ndarray) -> Tensor:
+    """out[i] = x[perm[i]] for a permutation perm of x's rows."""
+    perm = np.asarray(perm, dtype=np.int64)
+    if perm.shape != x.shape[:1]:
+        raise ShapeError(f"permute_rows: permutation shape {perm.shape} does not match {x.shape}")
+    if not np.array_equal(np.sort(perm), np.arange(perm.size)):
+        raise ContractError("permute_rows: index is not a permutation of the rows")
+    out = x.data[perm]
+
+    def vjp(g):
+        gx = np.empty(g.shape)
+        gx[perm] = g
+        return (gx,)
+
+    return _make(out, (x,), vjp, "permute_rows")
+
+
 def sum_(x: Tensor, axis=None) -> Tensor:
     out = x.data.sum(axis=axis)
 
@@ -446,6 +481,89 @@ def conv1d_transpose(y: Tensor, w: Tensor, bias: Tensor | None = None,
 
 
 # ---------------------------------------------------------------------------
+# expert banks: a batch sorted into N row segments, segment j through weight j
+#
+# `bounds` (N+1,) holds the segment offsets: rows bounds[j]:bounds[j+1] belong
+# to expert j, and an empty segment is skipped. Each op makes one GEMM per
+# segment on the operands, shapes and layouts that expert j's own matmul or
+# conv1d_transpose would see for those rows, so every row gets the bits its
+# expert alone would give it. Weight gradients come back stacked, with zeros
+# for the experts of empty segments.
+
+def _bank_segments(bounds, n: int, rows: int, op: str):
+    """(expert, start, stop) of each non-empty segment, and each row's expert."""
+    bounds = np.asarray(bounds, dtype=np.int64)
+    sizes = np.diff(bounds)
+    if bounds.shape != (n + 1,) or bounds[0] != 0 or bounds[-1] != rows or np.any(sizes < 0):
+        raise ShapeError(f"{op}: segment bounds {bounds.tolist()} do not split {rows} rows "
+                         f"among {n} experts")
+    segs = [(j, int(bounds[j]), int(bounds[j + 1])) for j in np.flatnonzero(sizes)]
+    return segs, np.repeat(np.arange(n), sizes)
+
+
+def bank_dense(x: Tensor, w: Tensor, bias: Tensor, bounds) -> Tensor:
+    """x[rows of j] @ w[j] + bias[j] for (B, I) rows, (N, I, O) weights, (N, O) biases."""
+    if (x.ndim != 2 or w.ndim != 3 or x.shape[1] != w.shape[1]
+            or bias.shape != (w.shape[0], w.shape[2])):
+        raise ShapeError(f"bank_dense: incompatible shapes {x.shape}, {w.shape} and {bias.shape}")
+    segs, owner = _bank_segments(bounds, w.shape[0], x.shape[0], "bank_dense")
+    out = np.empty((x.shape[0], w.shape[2]))
+    for j, s, e in segs:
+        np.matmul(x.data[s:e], w.data[j], out=out[s:e])
+    out = out + bias.data[owner]
+
+    def vjp(g):
+        gx = np.empty(x.shape)
+        gw = np.zeros(w.shape)
+        gb = np.zeros(bias.shape)
+        for j, s, e in segs:
+            np.matmul(g[s:e], w.data[j].T, out=gx[s:e])
+            np.matmul(x.data[s:e].T, g[s:e], out=gw[j])
+            gb[j] = g[s:e].sum(axis=0)
+        return gx, gw, gb
+
+    return _make(out, (x, w, bias), vjp, "bank_dense")
+
+
+def bank_convt(y: Tensor, w: Tensor, bias: Tensor, bounds, stride: int = 1, pad: int = 0,
+               output_length: int | None = None) -> Tensor:
+    """conv1d_transpose of y[rows of j] with kernels w[j] plus bias[j].
+
+    The kernels are (N, C_out, C_in, K) in conv1d_transpose's orientation and
+    the biases (N, C_in); (B, C_out, T) rows map to (B, C_in, L).
+    """
+    if (y.ndim != 3 or w.ndim != 4 or y.shape[1] != w.shape[1]
+            or bias.shape != (w.shape[0], w.shape[2])):
+        raise ShapeError(f"bank_convt: incompatible shapes {y.shape}, {w.shape} and {bias.shape}")
+    n, o, c, k = w.shape
+    b, _, t = y.shape
+    length = output_length if output_length is not None else stride * (t - 1) + k - 2 * pad
+    if length < 1 or _conv_out_len(length, k, stride, pad) != t:
+        raise ShapeError(f"bank_convt: output length {length} inconsistent with input {y.shape}")
+    segs, owner = _bank_segments(bounds, n, b, "bank_convt")
+    w2 = w.data.reshape(n, o, c * k)
+    y2 = _flat_bt(y.data)
+    cols = np.empty((b * t, c * k))
+    for j, s, e in segs:
+        np.matmul(y2[s * t : e * t], w2[j], out=cols[s * t : e * t])
+    out = _col2im(cols, b, c, k, t, length, stride, pad) + bias.data[owner][:, :, None]
+
+    def vjp(g):
+        gcol = _im2col(g, k, stride, pad, t)
+        gy2 = np.empty((b * t, o))
+        gw = np.zeros(w.shape)
+        gb = np.zeros(bias.shape)
+        for j, s, e in segs:
+            rows = slice(s * t, e * t)
+            np.matmul(gcol[rows], w2[j].T, out=gy2[rows])
+            np.matmul(y2[rows].T, gcol[rows], out=gw[j].reshape(o, c * k))
+            gb[j] = g[s:e].sum(axis=(0, 2))
+        return _bot(gy2, b, t), gw, gb
+
+    return _make(out, (y, w, bias), vjp, "bank_convt")
+
+
+# ---------------------------------------------------------------------------
 # batch normalization (fused op; biased variance)
 
 def _bn_axes(x: Tensor):
@@ -559,4 +677,7 @@ OP_KINDS = {
     "mean": mean_,
     "batch_norm": batch_norm,
     "batch_norm_eval": batch_norm_eval,
+    "permute_rows": permute_rows,
+    "bank_dense": bank_dense,
+    "bank_convt": bank_convt,
 }

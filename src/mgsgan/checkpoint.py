@@ -133,9 +133,9 @@ def _read_into_network(r: _Reader, net, what: str):
             raise DataError(f"checkpoint: {what} layer {i} payload size mismatch")
         if isinstance(layer, BatchNorm1d):
             layer.load_state_arrays([a.reshape(w.shape) for a, w in zip(arrays, layer.state_arrays())])
-        else:
-            layer.weight.data = arrays[0].reshape(layer.weight.shape)
-            layer.bias.data = arrays[1].reshape(layer.bias.shape)
+        else:  # in place: a bank generator's weights are views of the stacked arrays
+            layer.weight.data[...] = arrays[0].reshape(layer.weight.shape)
+            layer.bias.data[...] = arrays[1].reshape(layer.bias.shape)
 
 
 def save_checkpoint_bytes(mode: str, gen, disc, classifier,

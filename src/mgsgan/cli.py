@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
 from . import blas
 from .checkpoint import LoadedCheckpoint, load_checkpoint
 from .data import (SpectralDataset, SplitSpec, load_dataset, make_synthetic,
@@ -309,7 +310,9 @@ def _cmd_export_spectra(args) -> int:
     for j in class_ids:
         real_mean = train_n.samples[train_n.labels == j].mean(axis=0)
         z = rng.standard_normal((args.samples, ck.noise_dim))
-        gen_mean = generate(ck.generator, z, np.full(args.samples, j)).data.mean(axis=0)
+        with ad.no_grad():
+            fake = generate(ck.generator, z, np.full(args.samples, j))
+        gen_mean = fake.data.mean(axis=0)
         dom = ck.domains[j]
         for band in range(ck.d):
             vals = (float(real_mean[band]), float(gen_mean[band]),

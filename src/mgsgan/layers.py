@@ -17,6 +17,7 @@ from . import autodiff as ad
 from .errors import ContractError
 
 ADAM_EPS = 1e-8
+ADAM_BLOCK = 1 << 16  # elements per in-place Adam block: its temporaries stay in cache
 BATCHNORM_EPS = 1e-5
 
 
@@ -150,13 +151,19 @@ class BatchNorm1d(Layer):
 
 
 class Adam:
-    """Adam with bias correction; moments live next to their parameters."""
+    """Adam with bias correction; moments live next to their parameters.
+
+    The update runs in place, ADAM_BLOCK elements at a time, with the same
+    ufuncs in the same order as the allocating formula, so it gives the same
+    bits; an array that shares a parameter's buffer sees every step.
+    """
 
     def __init__(self, params: list[ad.Tensor], lr: float = 0.0002,
                  beta1: float = 0.5, beta2: float = 0.999, eps: float = ADAM_EPS):
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise ContractError(f"Adam: betas must lie in [0, 1), got ({beta1}, {beta2})")
         self.params = list(params)
+        self._check_contiguous()
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -164,6 +171,14 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        block = min(ADAM_BLOCK, max((p.size for p in self.params), default=0))
+        self._scratch = np.empty((2, block))
+
+    def _check_contiguous(self):
+        for i, p in enumerate(self.params):
+            if not p.data.flags.c_contiguous:
+                raise ContractError(f"Adam: parameter {i} is not C-contiguous, "
+                                    "so it cannot be updated in place")
 
     def zero_grad(self):
         for p in self.params:
@@ -173,12 +188,31 @@ class Adam:
         for i, p in enumerate(self.params):
             if p.grad is None:
                 raise ContractError(f"Adam.step: parameter {i} has no gradient")
+            if p.grad.shape != p.shape:
+                raise ContractError(f"Adam.step: parameter {i} has shape {p.shape} "
+                                    f"but its gradient {p.grad.shape}")
+        self._check_contiguous()
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for i, p in enumerate(self.params):
-            g = p.grad
-            self.m[i] = b1 * self.m[i] + (1 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
-            m_hat = self.m[i] / (1 - b1 ** self.t)
-            v_hat = self.v[i] / (1 - b2 ** self.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
+        for p, m, v in zip(self.params, self.m, self.v):
+            flat = (p.data.reshape(-1), p.grad.reshape(-1), m.reshape(-1), v.reshape(-1))
+            for lo in range(0, p.size, ADAM_BLOCK):
+                w, g, mb, vb = (a[lo : lo + ADAM_BLOCK] for a in flat)
+                t1, t2 = self._scratch[:, : w.size]
+                # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g
+                np.multiply(mb, b1, out=mb)
+                np.multiply(g, 1 - b1, out=t1)
+                np.add(mb, t1, out=mb)
+                np.multiply(vb, b2, out=vb)
+                np.multiply(g, 1 - b2, out=t1)
+                np.multiply(t1, g, out=t1)
+                np.add(vb, t1, out=vb)
+                # w = w - lr * (m / c1) / (sqrt(v / c2) + eps)
+                np.divide(mb, c1, out=t1)
+                np.multiply(t1, self.lr, out=t1)
+                np.divide(vb, c2, out=t2)
+                np.sqrt(t2, out=t2)
+                np.add(t2, self.eps, out=t2)
+                np.divide(t1, t2, out=t1)
+                np.subtract(w, t1, out=w)

@@ -3,9 +3,12 @@
 Each generator in the bank serves exactly one class and its raw tanh output is
 projected into that class's per-band box (computed from the class's training
 samples) by clamping, so generated samples are contained in the class domain
-by construction. The discriminator is a strided conv stack with a sigmoid
-head; the classifier extracts features through parallel conv branches with
-distinct kernel sizes and ends in an N-way softmax.
+by construction. The bank stores its N generators' weights stacked as (N, …)
+arrays and runs a batch as one op per layer over its rows sorted by class, the
+mixture-of-generators layout of MGAN (Hoang et al., ICLR 2018). The
+discriminator is a strided conv stack with a sigmoid head; the classifier
+extracts features through parallel conv branches with distinct kernel sizes
+and ends in an N-way softmax.
 """
 
 from __future__ import annotations
@@ -119,73 +122,72 @@ class Generator:
 
 
 class GeneratorBank:
-    """One generator plus one domain box per class; selection is the conditioning."""
+    """One generator plus one domain box per class; selection is the conditioning.
+
+    The N generators' weights are stacked: each parameter is an (N, …) array
+    whose row j belongs to generator j, and `generators[j]`'s layers hold views
+    of those rows (the checkpoint reads and writes them one generator at a
+    time). A batch is sorted by class and each layer runs as one bank op over
+    the class segments, so every row gets the bits its own generator gives.
+    """
 
     def __init__(self, generators: list[Generator], domains: list[ClassDomain],
                  noise_dim: int):
-        if len(generators) != len(domains):
+        if not generators or len(generators) != len(domains):
             raise ContractError("GeneratorBank: need exactly one domain per generator")
         self.generators = generators
         self.domains = domains
         self.noise_dim = noise_dim
+        self.frozen = False
+        self.lower = np.stack([dom.lower for dom in domains])
+        self.upper = np.stack([dom.upper for dom in domains])
+        per_gen = [g.parameters() for g in generators]
+        self.params = [ad.param(np.stack([ps[i].data for ps in per_gen]))
+                       for i in range(len(per_gen[0]))]
+        for j, ps in enumerate(per_gen):
+            for p, stacked in zip(ps, self.params, strict=True):
+                p.data = stacked.data[j]
 
     @property
     def class_count(self) -> int:
         return len(self.generators)
 
     def parameters(self):
-        return [p for g in self.generators for p in g.parameters()]
+        return list(self.params)
 
     def set_frozen(self, frozen: bool):
-        for g in self.generators:
-            g.set_frozen(frozen)
+        self.frozen = frozen
 
     def generate(self, z: ad.Tensor, class_id: int) -> ad.Tensor:
         """Raw tanh output of generator `class_id`, clamped into its box."""
         if not 0 <= class_id < self.class_count:
             raise ContractError(f"generate: class {class_id} out of range [0, {self.class_count})")
-        dom = self.domains[class_id]
-        raw = self.generators[class_id].forward(z)
-        return ad.clamp(raw, dom.lower, dom.upper)
+        return self.generate_batch(z, np.full(z.shape[0], class_id))
 
     def generate_batch(self, z: ad.Tensor, classes: np.ndarray) -> ad.Tensor:
-        """Batch generation grouped by class, reassembled in input order."""
+        """Each row of z through its class's generator and box, in input order."""
         classes = np.asarray(classes, dtype=np.int64)
-        if z.shape[0] != classes.shape[0]:
-            raise ShapeError(f"generate_batch: noise {z.shape} vs classes {classes.shape}")
-        pieces = []
-        order = []
-        for j in range(self.class_count):
-            idx = np.flatnonzero(classes == j)
-            if idx.size == 0:
-                continue
-            pieces.append(self.generate(_take_rows(z, idx), j))
-            order.append(idx)
-        out = ad.concat(pieces, axis=0)
-        perm = np.concatenate(order)
-        return _scatter_rows(out, perm, z.shape[0])
-
-
-def _take_rows(x: ad.Tensor, idx: np.ndarray) -> ad.Tensor:
-    out = x.data[idx]
-
-    def vjp(g):
-        gx = np.zeros_like(x.data)
-        gx[idx] = g
-        return (gx,)
-
-    return ad._make(out, (x,), vjp, "take_rows")
-
-
-def _scatter_rows(x: ad.Tensor, perm: np.ndarray, n: int) -> ad.Tensor:
-    """Inverse row permutation: out[perm[i]] = x[i]."""
-    out = np.empty((n,) + x.shape[1:], dtype=x.data.dtype)
-    out[perm] = x.data
-
-    def vjp(g):
-        return (g[perm],)
-
-    return ad._make(out, (x,), vjp, "scatter_rows")
+        n, b = self.class_count, z.shape[0]
+        if z.ndim != 2 or z.shape[1] != self.noise_dim or classes.shape != (b,):
+            raise ShapeError(f"generate_batch: noise {z.shape} vs classes {classes.shape}, "
+                             f"noise dim {self.noise_dim}")
+        if b and not (0 <= classes.min() and classes.max() < n):
+            raise ContractError(f"generate_batch: class ids outside [0, {n})")
+        order = np.argsort(classes, kind="stable")
+        bounds = np.concatenate([[0], np.cumsum(np.bincount(classes, minlength=n))])
+        fc_w, fc_b, up1_w, up1_b, up2_w, up2_b = (
+            ad.Tensor(p.data) if self.frozen else p for p in self.params)
+        g0 = self.generators[0]
+        h = ad.relu(ad.bank_dense(ad.permute_rows(z, order), fc_w, fc_b, bounds))
+        h = ad.reshape(h, (b, g0.c0, g0.l0))
+        h = ad.relu(ad.bank_convt(h, up1_w, up1_b, bounds, stride=g0.up1.stride,
+                                  pad=g0.up1.pad, output_length=g0.up1.output_length))
+        h = ad.bank_convt(h, up2_w, up2_b, bounds, stride=g0.up2.stride, pad=g0.up2.pad,
+                          output_length=g0.up2.output_length)
+        raw = ad.tanh(ad.reshape(h, (b, g0.d)))
+        rows = classes[order]
+        boxed = ad.clamp(raw, self.lower[rows], self.upper[rows])
+        return ad.permute_rows(boxed, np.argsort(order))
 
 
 class Discriminator:
@@ -236,7 +238,8 @@ def discriminate(disc: Discriminator, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (disc.d,):
         raise ShapeError(f"discriminate: expected shape ({disc.d},), got {x.shape}")
-    return float(disc.prob(ad.const(x[None, :]), train=False).data[0])
+    with ad.no_grad():
+        return float(disc.prob(ad.const(x[None, :]), train=False).data[0])
 
 
 class Classifier:
@@ -294,7 +297,8 @@ def classify(cls: Classifier, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (cls.d,):
         raise ShapeError(f"classify: expected shape ({cls.d},), got {x.shape}")
-    return cls.probs(ad.const(x[None, :]), train=False).data[0]
+    with ad.no_grad():
+        return cls.probs(ad.const(x[None, :]), train=False).data[0]
 
 
 class HeadClassifier:
@@ -333,10 +337,11 @@ def predict_labels(cls, samples: np.ndarray, batch: int = 256) -> np.ndarray:
     """Argmax class predictions in eval mode, batched over the sample matrix."""
     samples = np.asarray(samples, dtype=np.float64)
     preds = np.empty(samples.shape[0], dtype=np.int64)
-    for start in range(0, samples.shape[0], batch):
-        chunk = samples[start : start + batch]
-        probs = cls.probs(ad.const(chunk), train=False)
-        preds[start : start + chunk.shape[0]] = probs.data.argmax(axis=1)
+    with ad.no_grad():
+        for start in range(0, samples.shape[0], batch):
+            chunk = samples[start : start + batch]
+            probs = cls.probs(ad.const(chunk), train=False)
+            preds[start : start + chunk.shape[0]] = probs.data.argmax(axis=1)
     return preds
 
 

@@ -294,10 +294,6 @@ def _train_batch(config, players, adams, priors, train_ds, idx, z, classes,
             lg = loss_g(disc, fake, classes, priors,
                         saturating=config.gen_loss == "saturating", train=True, clamps=clamps)
             ad.backward(lg)
-            # generators whose class was not sampled this batch have a zero gradient
-            for p in adam_g.params:
-                if p.grad is None:
-                    p.grad = np.zeros_like(p.data)
             adam_g.step()
     finally:
         lc = worker.result()

@@ -1,6 +1,7 @@
 """Shared test helpers: the central finite-difference gradient oracle."""
 
 import numpy as np
+import pytest
 
 from mgsgan import autodiff as ad
 
@@ -44,3 +45,18 @@ def random_probe(rng, shape):
 
 def reduce_to_scalar(out: ad.Tensor, probe: ad.Tensor) -> ad.Tensor:
     return ad.sum_(ad.mul(out, probe))
+
+
+@pytest.fixture
+def made_nodes(monkeypatch):
+    """(op name, whether it is on the tape) of every node the engine makes in the test."""
+    made = []
+    make = ad._make
+
+    def recording_make(data, parents, vjp, op):
+        node = make(data, parents, vjp, op)
+        made.append((op, node._vjp is not None))
+        return node
+
+    monkeypatch.setattr(ad, "_make", recording_make)
+    return made

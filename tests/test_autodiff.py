@@ -57,6 +57,20 @@ def test_shape_mismatch_names_both_shapes():
     assert "(2, 3)" in str(err.value) and "(2, 4)" in str(err.value)
 
 
+def test_bank_ops_reject_bounds_that_do_not_split_the_rows():
+    x = ad.const(np.zeros((3, 2)))
+    w, bias = ad.const(np.zeros((2, 2, 4))), ad.const(np.zeros((2, 4)))
+    for bounds in ([0, 3], [0, 1, 2], [1, 2, 3], [0, 4, 3]):
+        with pytest.raises(ShapeError):
+            ad.bank_dense(x, w, bias, bounds)
+    y = ad.const(np.zeros((3, 2, 4)))
+    with pytest.raises(ShapeError):
+        ad.bank_convt(y, ad.const(np.zeros((2, 2, 1, 4))), ad.const(np.zeros((2, 1))),
+                      [0, 1, 2], stride=2, pad=1)
+    with pytest.raises(ContractError):
+        ad.permute_rows(x, [0, 0, 2])
+
+
 def test_non_finite_output_rejected():
     with pytest.raises(NumericError):
         ad.log(ad.const([0.0]))
@@ -187,6 +201,40 @@ def _case(rng, kind):
         probe = random_probe(rng, shape)
         return (lambda: reduce_to_scalar(
             ad.batch_norm_eval(x, gamma, beta, rm, rv), probe), [x, gamma, beta])
+    if kind == "permute_rows":
+        shape = (int(rng.integers(2, 6)), int(rng.integers(1, 4)))
+        x = ad.param(rng.standard_normal(shape))
+        perm = rng.permutation(shape[0])
+        probe = random_probe(rng, shape)
+        return lambda: reduce_to_scalar(ad.permute_rows(x, perm), probe), [x]
+    if kind in ("bank_dense", "bank_convt"):
+        # N experts over row segments of 0-2 rows (an empty one is skipped), >= 1 row in all
+        n = int(rng.integers(1, 4))
+        sizes = rng.integers(0, 3, size=n)
+        sizes[int(rng.integers(0, n))] += 1
+        bounds = np.concatenate([[0], np.cumsum(sizes)])
+        rows = int(bounds[-1])
+        if kind == "bank_dense":
+            i, o = (int(v) for v in rng.integers(1, 4, size=2))
+            x = ad.param(rng.standard_normal((rows, i)))
+            w = ad.param(rng.standard_normal((n, i, o)))
+            bias = ad.param(rng.standard_normal((n, o)) * 0.2)
+            probe = random_probe(rng, (rows, o))
+            return (lambda: reduce_to_scalar(ad.bank_dense(x, w, bias, bounds), probe),
+                    [x, w, bias])
+        ci, co = (int(v) for v in rng.integers(1, 4, size=2))
+        k = int(rng.integers(1, 5))
+        s = int(rng.integers(1, 3))
+        p = int(rng.integers(0, 2))
+        length = int(rng.integers(max(k - 2 * p, 1), max(k - 2 * p, 1) + 8))
+        t = (length + 2 * p - k) // s + 1
+        y = ad.param(rng.standard_normal((rows, co, t)))
+        w = ad.param(rng.standard_normal((n, co, ci, k)))
+        bias = ad.param(rng.standard_normal((n, ci)) * 0.2)
+        probe = random_probe(rng, (rows, ci, length))
+        return (lambda: reduce_to_scalar(
+            ad.bank_convt(y, w, bias, bounds, stride=s, pad=p, output_length=length), probe),
+            [y, w, bias])
     raise AssertionError(f"no case generator for op kind {kind}")
 
 

@@ -246,11 +246,12 @@ def test_eval_requires_exactly_one_source(tmp_path):
     assert rc == EXIT_USAGE
 
 
-def test_export_spectra_columns_and_containment(tmp_path):
+def test_export_spectra_columns_and_containment(tmp_path, made_nodes):
     data = _synth(tmp_path)
     out = tmp_path / "run"
     main(["train", "--data", str(data), "--out", str(out), "--epochs", "2",
           "--tttr", "0.5", "--batch", "16", "--seeds", "0"])
+    made_nodes.clear()  # the export that follows builds no tape
     csv_path = tmp_path / "spectra.csv"
     rc = main(["export-spectra", "--checkpoint", str(out / "seed_0" / "checkpoint.mgsg"),
                "--data", str(data), "--tttr", "0.5", "--samples", "16",
@@ -259,6 +260,7 @@ def test_export_spectra_columns_and_containment(tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "class,band,real_mean,generated_mean,box_lower,box_upper"
     assert len(lines) == 1 + 3 * 16  # classes x bands
+    assert made_nodes and not [op for op, on_tape in made_nodes if on_tape]
     for line in lines[1:]:
         _, _, _real, gen, lo, hi = line.split(",")
         assert float(lo) <= float(gen) <= float(hi)  # generated mean inside the box

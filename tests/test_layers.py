@@ -7,7 +7,7 @@ import pytest
 
 from mgsgan import autodiff as ad
 from mgsgan.errors import ContractError
-from mgsgan.layers import (Adam, BatchNorm1d, Conv1d, ConvTranspose1d, Dense,
+from mgsgan.layers import (ADAM_BLOCK, Adam, BatchNorm1d, Conv1d, ConvTranspose1d, Dense,
                            xavier_init, xavier_std)
 
 from conftest import fd_gradcheck, random_probe, reduce_to_scalar
@@ -97,6 +97,42 @@ def test_adam_step_counter_increases():
         p.grad = np.array([0.5])
         opt.step()
         assert opt.t == t
+
+
+def test_adam_blocked_in_place_step_matches_allocating_formula():
+    rng = np.random.default_rng(21)
+    shapes = [(1,), (ADAM_BLOCK + 7,), (4, 3, 5)]  # one crosses a block boundary
+    params = [ad.param(rng.standard_normal(s)) for s in shapes]
+    buffers = [p.data for p in params]
+    want = [p.data.copy() for p in params]
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    lr, b1, b2, eps = 0.01, 0.5, 0.999, 1e-8
+    opt = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    for t in range(1, 5):
+        for i, p in enumerate(params):
+            p.grad = g = rng.standard_normal(shapes[i])
+            m[i] = b1 * m[i] + (1 - b1) * g
+            v[i] = b2 * v[i] + (1 - b2) * g * g
+            m_hat = m[i] / (1 - b1 ** t)
+            v_hat = v[i] / (1 - b2 ** t)
+            want[i] = want[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        opt.step()
+        for p, buf, w in zip(params, buffers, want):
+            assert p.data is buf  # updated in place: earlier references see the step
+            assert p.data.tobytes() == w.tobytes()
+
+
+def test_adam_rejects_non_contiguous_parameter():
+    strided = ad.param(np.zeros((4, 6))[:, ::2])
+    with pytest.raises(ContractError):
+        Adam([ad.param(np.zeros(3)), strided])
+    p = ad.param(np.zeros((4, 6)))
+    opt = Adam([p])
+    p.data = p.data.T
+    p.grad = np.zeros((6, 4))
+    with pytest.raises(ContractError):
+        opt.step()
 
 
 def test_batchnorm_train_normalizes_per_channel():

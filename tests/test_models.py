@@ -2,17 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgsgan import autodiff as ad
 from mgsgan.checkpoint import load_checkpoint_bytes, save_checkpoint_bytes
 from mgsgan.data import SpectralDataset
 from mgsgan.errors import ContractError, DataError, ShapeError
-from mgsgan.models import (ArchConfig, ClassDomain, Classifier, Discriminator,
+from mgsgan.models import (MODES, ArchConfig, ClassDomain, Classifier, Discriminator,
                            Generator, build_conditional_generator,
                            build_generator_bank, build_players, classify,
                            compute_class_domains, discriminate, generate, predict_labels)
 
-from conftest import fd_gradcheck
+from conftest import fd_gradcheck, random_probe, reduce_to_scalar
 
 
 def _domains_for(d, n, lo=-1.0, hi=1.0):
@@ -83,17 +85,66 @@ def test_generate_batch_minority_containment_under_overlap():
     assert int(minority.contains(out).sum()) == 64
 
 
+def _take_rows(x, idx):
+    out = x.data[idx]
+
+    def vjp(g):
+        gx = np.zeros_like(x.data)
+        gx[idx] = g
+        return (gx,)
+
+    return ad._make(out, (x,), vjp, "take_rows")
+
+
+def _scatter_rows(x, perm, n):
+    out = np.empty((n,) + x.shape[1:], dtype=x.data.dtype)
+    out[perm] = x.data
+
+    def vjp(g):
+        return (g[perm],)
+
+    return ad._make(out, (x,), vjp, "scatter_rows")
+
+
+def _per_class_loop(bank, z, classes):
+    """The bank's batch as one generator call per class, reassembled in input order."""
+    pieces, order = [], []
+    for j, (gen, dom) in enumerate(zip(bank.generators, bank.domains)):
+        idx = np.flatnonzero(classes == j)
+        if idx.size:
+            pieces.append(ad.clamp(gen.forward(_take_rows(z, idx)), dom.lower, dom.upper))
+            order.append(idx)
+    return _scatter_rows(ad.concat(pieces, axis=0), np.concatenate(order), z.shape[0])
+
+
 def test_generate_batch_preserves_order():
+    # the stacked bank gives the per-class loop's bits, forward and every gradient
     rng = np.random.default_rng(3)
-    d = 8
-    domains = _domains_for(d, 3)
-    bank = build_generator_bank(3, d, 6, domains, rng)
-    z = ad.const(rng.standard_normal((9, 6)))
-    classes = np.array([2, 0, 1, 1, 0, 2, 0, 1, 2])
-    batched = bank.generate_batch(z, classes).data
-    for i, (zi, ci) in enumerate(zip(z.data, classes)):
-        single = bank.generate(ad.const(zi[None, :]), int(ci)).data[0]
-        np.testing.assert_allclose(batched[i], single, atol=1e-12)
+    d, noise = 13, 6
+    bank = build_generator_bank(4, d, noise, _domains_for(d, 4, -0.4, 0.4), rng)
+    cases = [np.array([2, 0, 1, 1, 0, 2, 0, 1, 2]),  # class 3 absent
+             np.array([3, 0, 0, 2, 0, 2, 0, 2]),  # class 1 absent, class 3 one row
+             np.full(7, 1)]  # every row in one class
+    for classes in cases:
+        z = ad.const(rng.standard_normal((classes.size, noise)))
+        probe = random_probe(rng, (classes.size, d))
+        leaves = bank.parameters() + [p for g in bank.generators for p in g.parameters()]
+        for p in leaves:
+            p.grad = None
+        batched = bank.generate_batch(z, classes)
+        ad.backward(reduce_to_scalar(batched, probe))
+        looped = _per_class_loop(bank, z, classes)
+        ad.backward(reduce_to_scalar(looped, probe))
+        assert batched.data.tobytes() == looped.data.tobytes()
+        for i, stacked in enumerate(bank.parameters()):
+            for j, gen in enumerate(bank.generators):
+                want = gen.parameters()[i].grad
+                if want is None:  # class j absent from the batch
+                    want = np.zeros(stacked.shape[1:])
+                assert stacked.grad[j].tobytes() == want.tobytes()
+        for i, (zi, ci) in enumerate(zip(z.data, classes)):
+            single = bank.generate(ad.const(zi[None, :]), int(ci)).data[0]
+            np.testing.assert_allclose(batched.data[i], single, atol=1e-12)
 
 
 def test_generate_invalid_class_rejected():
@@ -101,6 +152,9 @@ def test_generate_invalid_class_rejected():
     bank = build_generator_bank(2, 8, 6, _domains_for(8, 2), rng)
     with pytest.raises(ContractError):
         bank.generate(ad.const(np.zeros((1, 6))), 2)
+    for bad in (2, -1):
+        with pytest.raises(ContractError):
+            bank.generate_batch(ad.const(np.zeros((2, 6))), np.array([0, bad]))
 
 
 def test_discriminator_zero_head_gives_half():
@@ -226,27 +280,61 @@ def test_predict_labels_matches_classify():
     np.testing.assert_array_equal(preds, singles)
 
 
+def test_eval_paths_record_no_tape_and_match_taped_bits(made_nodes):
+    rng = np.random.default_rng(20)
+    cls, disc = Classifier(12, 3, rng), Discriminator(12, rng)
+    bank = build_generator_bank(3, 12, 6, _domains_for(12, 3), rng)
+    xs = rng.standard_normal((7, 12))
+    z = rng.standard_normal((5, 6))
+    classes = np.array([2, 0, 2, 1, 0])
+    taped = {
+        "preds": cls.probs(ad.const(xs), train=False).data.argmax(axis=1),
+        "probs": cls.probs(ad.const(xs[:1]), train=False).data[0],
+        "p_real": disc.prob(ad.const(xs[:1]), train=False).data[0],
+        "fake": generate(bank, z, classes).data,
+    }
+    made_nodes.clear()
+    untaped = {"preds": predict_labels(cls, xs), "probs": classify(cls, xs[0]),
+               "p_real": np.float64(discriminate(disc, xs[0]))}
+    with ad.no_grad():
+        untaped["fake"] = generate(bank, z, classes).data
+    assert made_nodes and not [op for op, on_tape in made_nodes if on_tape]
+    for key, value in taped.items():
+        assert untaped[key].tobytes() == value.tobytes(), key
+
+
 # ---------------------------------------------------------------------------
 # checkpoint format
 
-def _trained_like_bundle(mode, rng):
-    d, n, noise = 12, 3, 8
-    domains = [ClassDomain(j, np.full(d, -0.5 + 0.1 * j), np.full(d, 0.5 + 0.1 * j))
-               for j in range(n)]
+def _trained_like_bundle(mode, rng, n=3, d=12):
+    noise = 8
+    lo = rng.uniform(-1.0, 0.5, size=(n, d))
+    domains = [ClassDomain(j, lo[j], lo[j] + rng.uniform(0.0, 0.5, size=d)) for j in range(n)]
     gen, disc, cls = build_players(mode, n, d, noise, domains, rng)
     return gen, disc, cls, domains, noise
 
 
-@pytest.mark.parametrize("mode", ["mgsgan", "acsgan", "achsgan"])
-def test_checkpoint_save_load_save_bit_identical(mode):
+_CHECKPOINT_SHAPES = settings(max_examples=12, deadline=None, derandomize=True, database=None)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@_CHECKPOINT_SHAPES
+@given(n=st.integers(1, 5), d=st.integers(4, 24))
+def test_checkpoint_save_load_save_bit_identical(mode, n, d):
     rng = np.random.default_rng(16)
-    gen, disc, cls, domains, noise = _trained_like_bundle(mode, rng)
+    gen, disc, cls, domains, noise = _trained_like_bundle(mode, rng, n, d)
     blob = save_checkpoint_bytes(mode, gen, disc, cls, domains, noise)
     ck = load_checkpoint_bytes(blob)
     blob2 = save_checkpoint_bytes(ck.mode, ck.generator, ck.discriminator,
                                   ck.classifier, ck.domains, ck.noise_dim)
     assert blob == blob2
-    assert ck.mode == mode and ck.d == 12 and ck.n_classes == 3
+    assert ck.mode == mode and ck.d == d and ck.n_classes == n
+    # the reloaded generator gives the bits of the one it was saved from
+    ck2 = load_checkpoint_bytes(blob2)
+    z = rng.standard_normal((2 * n + 1, noise))
+    classes = rng.integers(0, n, size=2 * n + 1)
+    assert generate(ck2.generator, z, classes).data.tobytes() == \
+        generate(ck.generator, z, classes).data.tobytes()
 
 
 def test_checkpoint_loaded_values_are_f32_quantized_originals():
@@ -259,14 +347,17 @@ def test_checkpoint_loaded_values_are_f32_quantized_originals():
     np.testing.assert_array_equal(loaded, orig.astype(np.float32).astype(np.float64))
 
 
-def test_checkpoint_magic_and_truncation_errors():
+@_CHECKPOINT_SHAPES
+@given(mode=st.sampled_from(MODES), n=st.integers(1, 5), d=st.integers(4, 24), data=st.data())
+def test_checkpoint_magic_and_truncation_errors(mode, n, d, data):
     rng = np.random.default_rng(18)
-    gen, disc, cls, domains, noise = _trained_like_bundle("acsgan", rng)
-    blob = save_checkpoint_bytes("acsgan", gen, disc, cls, domains, noise)
+    gen, disc, cls, domains, noise = _trained_like_bundle(mode, rng, n, d)
+    blob = save_checkpoint_bytes(mode, gen, disc, cls, domains, noise)
     with pytest.raises(DataError):
         load_checkpoint_bytes(b"XXXX" + blob[4:])
-    with pytest.raises(DataError):
-        load_checkpoint_bytes(blob[: len(blob) // 2])
+    cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
+    with pytest.raises(DataError):  # and nothing else
+        load_checkpoint_bytes(blob[:cut])
 
 
 def test_checkpoint_preserves_batchnorm_running_stats():
