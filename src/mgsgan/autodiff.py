@@ -513,11 +513,14 @@ def bank_dense(x: Tensor, w: Tensor, bias: Tensor, bounds) -> Tensor:
     out = out + bias.data[owner]
 
     def vjp(g):
-        gx = np.empty(x.shape)
-        gw = np.zeros(w.shape)
+        # The bank's input is the constant noise, whose gradient nobody reads.
+        gx = np.empty(x.shape) if x.requires_grad else None
+        gw = np.empty(w.shape)
+        gw[np.setdiff1d(np.arange(w.shape[0]), [j for j, _, _ in segs])] = 0.0
         gb = np.zeros(bias.shape)
         for j, s, e in segs:
-            np.matmul(g[s:e], w.data[j].T, out=gx[s:e])
+            if gx is not None:
+                np.matmul(g[s:e], w.data[j].T, out=gx[s:e])
             np.matmul(x.data[s:e].T, g[s:e], out=gw[j])
             gb[j] = g[s:e].sum(axis=0)
         return gx, gw, gb
@@ -649,6 +652,8 @@ def backward(loss: Tensor):
             continue
         if t._vjp is not None:
             for parent, pg in zip(t._parents, t._vjp(g)):
+                if pg is None:  # a VJP may skip a constant parent
+                    continue
                 acc = grads.get(parent._id)
                 grads[parent._id] = pg if acc is None else acc + pg
         elif t.requires_grad:

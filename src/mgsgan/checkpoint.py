@@ -33,7 +33,7 @@ import numpy as np
 from .errors import ContractError, DataError
 from .layers import BatchNorm1d, Conv1d, ConvTranspose1d, Dense
 from .models import (ArchConfig, ClassDomain, Classifier, Discriminator, Generator,
-                     GeneratorBank, HeadClassifier, Players, build_players)
+                     GeneratorBank, HeadClassifier, Players, build_players, generator_plan)
 
 _MAGIC = b"MGSG"
 _VERSION = 1
@@ -91,38 +91,57 @@ def _write_network(buf: bytearray, net):
 
 
 class _Reader:
+    """Reads fields up to `end`; a field that would cross it is a DataError."""
+
     def __init__(self, blob: bytes):
         self.blob = blob
         self.off = 0
+        self.end = len(blob)
+
+    def _take(self, nbytes: int) -> int:
+        off = self.off
+        if nbytes > self.end - off:
+            raise DataError(f"checkpoint: truncated or corrupt file ({nbytes} bytes wanted "
+                            f"at byte {off}, {self.end - off} left)")
+        self.off += nbytes
+        return off
 
     def ints(self, n: int):
-        vals = struct.unpack_from(f"<{n}I", self.blob, self.off)
-        self.off += 4 * n
-        return vals
+        return struct.unpack_from(f"<{n}I", self.blob, self._take(4 * n))
 
     def u64(self) -> int:
-        (v,) = struct.unpack_from("<Q", self.blob, self.off)
-        self.off += 8
-        return v
+        return struct.unpack_from("<Q", self.blob, self._take(8))[0]
 
     def f32(self, n: int) -> np.ndarray:
-        arr = np.frombuffer(self.blob, dtype="<f4", count=n, offset=self.off)
-        self.off += 4 * n
-        return arr.astype(np.float64)
+        """n f32 values as a read-only view of the file; loading casts them to f64."""
+        return np.frombuffer(self.blob, dtype="<f4", count=n, offset=self._take(4 * n))
 
 
-def _read_into_network(r: _Reader, net, what: str):
+def _read_records(r: _Reader) -> list:
+    """One network's layer records, (kind, ints, arrays) each."""
     (layer_count,) = r.ints(1)
-    if layer_count != len(net.layers):
-        raise DataError(f"checkpoint: {what} has {layer_count} layers, expected {len(net.layers)}")
-    for i, layer in enumerate(net.layers):
+    records = []
+    for _ in range(layer_count):
         (kind,) = r.ints(1)
         (n_ints,) = r.ints(1)
         ints = list(r.ints(n_ints))
         (n_arrs,) = r.ints(1)
-        arrays = []
-        for _ in range(n_arrs):
-            arrays.append(r.f32(r.u64()))
+        records.append((kind, ints, [r.f32(r.u64()) for _ in range(n_arrs)]))
+    return records
+
+
+def _generator_io(records) -> tuple[int, int] | None:
+    """(input width, output length) of a generator's records, None if they are not one's."""
+    if (len(records) < 2 or records[0][0] != _KIND_DENSE or len(records[0][1]) != 2
+            or records[-1][0] != _KIND_CONVT or len(records[-1][1]) != 6):
+        return None
+    return records[0][1][0], records[-1][1][5]
+
+
+def _load_network(net, records, what: str):
+    if len(records) != len(net.layers):
+        raise DataError(f"checkpoint: {what} has {len(records)} layers, expected {len(net.layers)}")
+    for i, (layer, (kind, ints, arrays)) in enumerate(zip(net.layers, records)):
         want_kind, want_ints, want_arrays = _layer_record(layer)
         if kind != want_kind or ints != want_ints:
             raise DataError(
@@ -177,10 +196,21 @@ def _parse_checkpoint(blob: bytes, arch: ArchConfig | None) -> LoadedCheckpoint:
     mode = _MODE_NAMES[mode_tag]
     (net_count,) = r.ints(1)
 
-    # Domains live at the tail; read them first so the bank can be built.
-    tail = len(blob) - n * d * 2 * 4
+    # The domains fill the tail and the network records everything before it;
+    # each record's size is checked against the bytes left before it is read.
+    r.end = len(blob) - n * d * 2 * 4
+    records = [_read_records(r) for _ in range(net_count)]
+    if r.off != r.end:
+        raise DataError("checkpoint: payload size inconsistent with header")
+    # The players are built from the header, so its sizes must be those of the
+    # generator records the file holds before anything is allocated.
+    count, width = generator_plan(mode, n, noise_dim)
+    if len(records) < count or any(_generator_io(rec) != (width, d) for rec in records[:count]):
+        raise DataError(f"checkpoint: header (N={n}, d={d}, noise_dim={noise_dim}) does not "
+                        f"match the generator records")
+
     domains = []
-    off = tail
+    off = r.end
     for j in range(n):
         lo = np.frombuffer(blob, dtype="<f4", count=d, offset=off).astype(np.float64)
         off += 4 * d
@@ -193,9 +223,7 @@ def _parse_checkpoint(blob: bytes, arch: ArchConfig | None) -> LoadedCheckpoint:
     if net_count != len(nets):
         raise DataError(f"checkpoint: {net_count} networks, expected {len(nets)} for {mode}")
     for i, net in enumerate(nets):
-        _read_into_network(r, net, f"network {i}")
-    if r.off != tail:
-        raise DataError("checkpoint: payload size inconsistent with header")
+        _load_network(net, records[i], f"network {i}")
     return LoadedCheckpoint(mode, n, d, noise_dim, *players, domains)
 
 

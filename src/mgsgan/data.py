@@ -203,12 +203,19 @@ def load_bin(path) -> SpectralDataset:
         blob = fh.read()
     if blob[:4] != _BIN_MAGIC:
         raise DataError(f"{path}: bad magic, not a dataset file")
-    version, m, d, n = struct.unpack_from("<IIII", blob, 4)
+    off = 4 + 16 + 1
+    if len(blob) < off:
+        raise DataError(f"{path}: truncated dataset header ({len(blob)} bytes)")
+    version, m, d, n, has_norm = struct.unpack_from("<IIIIB", blob, 4)
     if version != _BIN_VERSION:
         raise DataError(f"{path}: unsupported dataset format version {version}")
-    off = 4 + 16
-    (has_norm,) = struct.unpack_from("<B", blob, off)
-    off += 1
+    # Every size is checked against the file before anything is allocated.
+    if has_norm not in (0, 1) or d < 1 or not 1 <= n <= m:
+        raise DataError(f"{path}: corrupt dataset header (M={m}, d={d}, N={n}, "
+                        f"normalization flag {has_norm}); N classes need 1 <= N <= M rows")
+    need = off + 16 * d * has_norm + 8 * m * d + 8 * m
+    if len(blob) != need:
+        raise DataError(f"{path}: truncated dataset file ({len(blob)} bytes, expected {need})")
     norm = None
     if has_norm:
         band_min = np.frombuffer(blob, dtype="<f8", count=d, offset=off).copy()
@@ -216,9 +223,6 @@ def load_bin(path) -> SpectralDataset:
         band_max = np.frombuffer(blob, dtype="<f8", count=d, offset=off).copy()
         off += 8 * d
         norm = Normalization(band_min, band_max)
-    need = off + 8 * m * d + 8 * m
-    if len(blob) != need:
-        raise DataError(f"{path}: truncated dataset file ({len(blob)} bytes, expected {need})")
     samples = np.frombuffer(blob, dtype="<f8", count=m * d, offset=off).reshape(m, d).copy()
     off += 8 * m * d
     labels = np.frombuffer(blob, dtype="<i8", count=m, offset=off).copy()

@@ -379,6 +379,15 @@ class Players(NamedTuple):
         return (list(gen.generators) if isinstance(gen, GeneratorBank) else [gen]) + rest
 
 
+def generator_plan(mode: str, n: int, noise_dim: int) -> tuple[int, int]:
+    """(count, input width) of the generators `build_players` makes for `mode`.
+
+    mgsgan has one generator per class fed the noise; the other modes have one
+    fed the noise and a one-hot class code.
+    """
+    return (n, noise_dim) if mode == "mgsgan" else (1, noise_dim + n)
+
+
 def build_players(mode: str, n: int, d: int, noise_dim: int, domains: list[ClassDomain],
                   rng: np.random.Generator, arch: ArchConfig | None = None) -> Players:
     """The players of `mode`, initialised from rng in the order G, D, C.

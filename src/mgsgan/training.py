@@ -4,8 +4,12 @@ The D and G updates freeze every other player (their parameters become
 constants for that forward pass, so no gradient can reach them), and the fake
 batch fed to the D and C updates is detached from the generator graph. The C
 step reads only real rows and that detached batch, so in mgsgan and acsgan it
-runs in a worker process that owns the classifier, beside the D and G steps
-of the same batch; its results are the same bits as in the order D, C, G. Noise,
+runs in a worker process that owns the classifier, one batch behind the
+parent: C(b) is sent as soon as batch b is generated, and C(b-1)'s reply is
+read only then, before D(b); the last batch's reply is read at epoch end. Its
+results are the same bits as in the order D, C, G, and an error is reported
+at the batch of the step that raised it, in that order: an error of D(b)
+wins, then C(b)'s, then G(b)'s or one in generating batch b+1. Noise,
 class sampling, data order and initialization each draw from their own seeded
 stream, so a run is bit-reproducible from (seed, config, dataset) and all
 modes share the same data order for a given seed.
@@ -23,6 +27,7 @@ import multiprocessing
 import signal
 import time
 import traceback
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -219,16 +224,9 @@ def train(train_ds: SpectralDataset, config: TrainConfig,
                 idx = perm[b * config.batch : (b + 1) * config.batch]
                 z = _draw_noise(rng_noise, config.batch, config.noise_dim, config.noise_dist)
                 classes = rng_class.choice(n, size=config.batch, p=priors.p_gen)
-                try:
+                with _aborts_at(epoch, b, last_good, worker, clamps):
                     stats = _train_batch(config, players, adams, priors, train_ds, idx, z,
                                          classes, worker, clamps)
-                except NumericError as exc:
-                    raise TrainingAborted(
-                        f"non-finite loss at epoch {epoch}, batch {b}: {exc}",
-                        epoch=epoch, batch=b, last_good=last_good,
-                    ) from exc
-                finally:
-                    clamps.warn_once()
                 for key in sums:
                     sums[key] += stats[key]
                 fake_vals = stats["fake_values"]
@@ -237,7 +235,9 @@ def train(train_ds: SpectralDataset, config: TrainConfig,
                     made[j] += sel.sum()
                     if sel.any():
                         inside[j] += int(domains[j].contains(fake_vals[sel]).sum())
-            if worker is not None:
+            if worker is not None:  # the last batch's C step, one batch behind
+                with _aborts_at(epoch, n_batches - 1, last_good, worker, clamps):
+                    sums["loss_c"] += worker.result()
                 worker.pull_classifier()
             containment = [float(inside[j] / made[j]) if made[j] else None for j in range(n)]
             overall = float(inside.sum() / made.sum()) if made.sum() else 1.0
@@ -264,23 +264,48 @@ def train(train_ds: SpectralDataset, config: TrainConfig,
     return result
 
 
+@contextmanager
+def _aborts_at(epoch, batch, last_good, worker, clamps):
+    """Raise a non-finite loss as TrainingAborted at (epoch, batch), or at a failed C step's batch."""
+    try:
+        yield
+    except NumericError as exc:
+        if worker is not None and worker.failed is not None:
+            batch = worker.failed
+        raise TrainingAborted(
+            f"non-finite loss at epoch {epoch}, batch {batch}: {exc}",
+            epoch=epoch, batch=batch, last_good=last_good,
+        ) from exc
+    finally:
+        clamps.warn_once()
+
+
 def _train_batch(config, players, adams, priors, train_ds, idx, z, classes,
                  worker, clamps) -> dict:
     disc = players["d"]
     real_x = ad.const(train_ds.samples[idx])
     real_y = train_ds.labels[idx]
-    fake = generate(players["g"], z, classes)
+    adam_d, adam_g = adams["d"], adams["g"]
+    # In mgsgan and acsgan C(b) goes to the worker as soon as batch b exists, and
+    # only then is C(b-1)'s reply read, so the worker never waits for this process.
+    # C(b-1)'s error wins over one in generating batch b. The loss_c returned is
+    # C(b-1)'s and `train` adds the epoch's last, so the sum keeps batch order.
+    previous = worker is not None and worker.sent > worker.answered
+    try:
+        fake = generate(players["g"], z, classes)
+        if worker is not None:
+            worker.submit(idx, fake.data, classes)
+    finally:
+        lc_previous = worker.result() if previous else 0.0
     fake_det = fake.detach()
     stats = {"fake_values": fake.data}
-    adam_d, adam_g = adams["d"], adams["g"]
 
     if worker is None:
         return _achsgan_steps(config, players, adam_d, adam_g, priors,
                               real_x, real_y, fake, fake_det, classes, stats, clamps)
 
-    # C(b) runs in the worker while D(b) and G(b) run here. If D(b) fails, C(b)'s
-    # reply is never read; the game's order is D, C, G, so C(b)'s error wins over G(b)'s.
-    worker.submit(idx, fake.data, classes)
+    # If D(b) fails, C(b)'s reply is never read; the game's order is D, C, G, so
+    # C(b)'s error wins over G(b)'s.
     aux = {}
     with _Freezer(players, "d"):
         adam_d.zero_grad()
@@ -295,10 +320,11 @@ def _train_batch(config, players, adams, priors, train_ds, idx, z, classes,
                         saturating=config.gen_loss == "saturating", train=True, clamps=clamps)
             ad.backward(lg)
             adam_g.step()
-    finally:
-        lc = worker.result()
+    except Exception:
+        worker.result()  # C(b)'s error, if any, replaces G(b)'s
+        raise
 
-    stats.update(loss_d=ld.item(), loss_c=lc, loss_g=lg.item(),
+    stats.update(loss_d=ld.item(), loss_c=lc_previous, loss_g=lg.item(),
                  d_real=aux["d_real_mean"], d_fake=aux["d_fake_mean"])
     return stats
 
@@ -364,12 +390,18 @@ class _ClassifierWorker:
     Fork, not spawn: the worker starts from the parent's players, training set
     and priors without pickling them. The parent's copy of the classifier is
     brought up to date by `pull_classifier`.
+
+    The worker answers in order. Within an epoch the k-th C step sent is batch
+    k's, so the k-th reply read names the batch a failed step is reported at.
     """
 
     def __init__(self, cls, adam, train_ds, priors, clamps):
         ctx = multiprocessing.get_context("fork")
         self.cls = cls
         self.clamps = clamps
+        self.sent = 0      # C steps sent this epoch
+        self.answered = 0  # their replies read
+        self.failed = None  # batch of the C step whose error `result` raised
         self.conn, child = ctx.Pipe()
         self.proc = ctx.Process(target=_serve_classifier, daemon=True,
                                 args=(child, self.conn, cls, adam, train_ds, priors, clamps))
@@ -377,29 +409,44 @@ class _ClassifierWorker:
         child.close()
 
     def submit(self, idx, fake, classes):
-        """Start the C step on rows idx of the training set and a fake batch."""
-        self.conn.send((idx, fake, classes))
+        """Start the next C step on rows idx of the training set and a fake batch."""
+        self._send((idx, fake, classes))
+        self.sent += 1
 
     def result(self) -> float:
-        """The submitted C step's loss; raises what the step raised."""
+        """The oldest unanswered C step's loss; raises what the step raised."""
         value, tb, hit = self._recv()
+        self.answered += 1
         self.clamps.hit |= hit
         if tb is not None:
+            self.failed = self.answered - 1
             raise value from RuntimeError(f"in the classifier worker:\n{tb}")
         return value
 
     def pull_classifier(self):
-        """Copy the worker's classifier weights and running statistics into the parent's."""
-        self.conn.send(None)
+        """Copy the worker's classifier weights and running statistics into the parent's.
+
+        Every C step must be answered first; the next C step is batch 0 of a new epoch.
+        """
+        self._send(None)
         _load_classifier_state(self.cls, self._recv())
+        self.sent = self.answered = 0
+
+    def _send(self, msg):
+        try:
+            self.conn.send(msg)
+        except ConnectionError:  # the worker's end is closed
+            raise self._exited() from None
 
     def _recv(self):
         try:
             return self.conn.recv()
-        except EOFError:
-            self.proc.join(timeout=1)
-            raise RuntimeError(
-                f"classifier worker exited (exit code {self.proc.exitcode})") from None
+        except (EOFError, ConnectionError):  # reset when it died with a message unread
+            raise self._exited() from None
+
+    def _exited(self) -> RuntimeError:
+        self.proc.join(timeout=1)
+        return RuntimeError(f"classifier worker exited (exit code {self.proc.exitcode})")
 
     def close(self):
         """Close the pipe, so the worker exits, and reap it."""

@@ -247,6 +247,26 @@ def test_gradients_match_finite_differences(kind):
         assert err < GRAD_TOL, f"{kind} case {case}: scaled gradient error {err}"
 
 
+def test_bank_dense_skips_the_gradient_of_a_constant_input():
+    # expert 1 owns no rows: its weight-gradient rows are zero, the others the
+    # same bits as when the input needs a gradient
+    rng = np.random.default_rng(12)
+    rows = rng.standard_normal((5, 3))
+    w = ad.param(rng.standard_normal((3, 3, 4)))
+    bias = ad.param(rng.standard_normal((3, 4)))
+    probe = random_probe(rng, (5, 4))
+    grads = {}
+    for x in (ad.const(rows), ad.param(rows)):
+        w.grad = bias.grad = None
+        out = ad.bank_dense(x, w, bias, [0, 2, 2, 5])
+        gx, _, _ = out._vjp(probe.data)
+        assert (gx is None) == (not x.requires_grad)
+        ad.backward(reduce_to_scalar(out, probe))
+        grads[x.requires_grad] = (w.grad.tobytes(), bias.grad.tobytes())
+    assert grads[False] == grads[True]
+    assert not w.grad[1].any()
+
+
 def test_backward_linearity():
     rng = np.random.default_rng(11)
     x = ad.param(rng.standard_normal((3, 4)))

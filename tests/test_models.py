@@ -12,7 +12,8 @@ from mgsgan.errors import ContractError, DataError, ShapeError
 from mgsgan.models import (MODES, ArchConfig, ClassDomain, Classifier, Discriminator,
                            Generator, build_conditional_generator,
                            build_generator_bank, build_players, classify,
-                           compute_class_domains, discriminate, generate, predict_labels)
+                           compute_class_domains, discriminate, generate, generator_plan,
+                           predict_labels)
 
 from conftest import fd_gradcheck, random_probe, reduce_to_scalar
 
@@ -358,6 +359,16 @@ def test_checkpoint_magic_and_truncation_errors(mode, n, d, data):
     cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
     with pytest.raises(DataError):  # and nothing else
         load_checkpoint_bytes(blob[:cut])
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_generator_plan_is_what_build_players_makes(mode):
+    # the checkpoint reader checks a header against this plan before building
+    rng = np.random.default_rng(20)
+    players = build_players(mode, 3, 12, 8, _trained_like_bundle(mode, rng)[3], rng)
+    count, width = generator_plan(mode, 3, 8)
+    gens = [net for net in players.networks() if isinstance(net, Generator)]
+    assert [gen.in_dim for gen in gens] == [width] * count
 
 
 def test_checkpoint_preserves_batchnorm_running_stats():

@@ -1,6 +1,8 @@
 """Training-engine contracts: update order, isolation, determinism, abort."""
 
 import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
@@ -259,18 +261,23 @@ def test_toy_equilibrium_discriminator_near_half():
 # inherits the monkeypatched `training.loss_c` and counts its own calls
 
 
+def _on_call(at_call, action, real):
+    """A stand-in for `real` that runs action instead on its at_call-th call in its process."""
+    calls = {"n": 0}
+
+    def wrapped(*args, **kwargs):
+        calls["n"] += 1
+        return (action if calls["n"] == at_call else real)(*args, **kwargs)
+
+    return wrapped
+
+
 def _poison(monkeypatch, name, at_call, exc):
     """Make training.<name> raise exc on its at_call-th call in its process."""
-    calls = {"n": 0}
-    real = getattr(training, name)
+    def fail(*args, **kwargs):
+        raise exc
 
-    def poisoned(*args, **kwargs):
-        calls["n"] += 1
-        if calls["n"] == at_call:
-            raise exc
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(training, name, poisoned)
+    monkeypatch.setattr(training, name, _on_call(at_call, fail, getattr(training, name)))
 
 
 def test_classifier_clamp_logged_once_in_the_parent(monkeypatch, caplog):
@@ -348,4 +355,78 @@ def test_classifier_worker_exception_keeps_its_type(monkeypatch):
     with pytest.raises(KeyError, match="not numeric") as err:
         train(ds, TrainConfig(epochs=2, batch=16, seed=1, mode="mgsgan"))
     assert "in the classifier worker" in str(err.value.__cause__)
+    assert multiprocessing.active_children() == []
+
+
+# the worker runs one batch behind: C(b) is sent once batch b is generated and
+# C(b-1)'s reply read after that; these runs have 2 batches per epoch
+
+
+def test_classifier_error_is_reported_at_its_batch_over_next_discriminator(monkeypatch):
+    ds = _toy_ds(n_per=16, d=8, n_classes=2)
+    _poison(monkeypatch, "loss_c", 1, NumericError("poisoned C"))
+    _poison(monkeypatch, "loss_d", 2, NumericError("poisoned D"))
+    with pytest.raises(TrainingAborted, match="poisoned C") as err:
+        train(ds, TrainConfig(epochs=2, batch=16, seed=1, mode="mgsgan"))
+    assert err.value.epoch == 0 and err.value.batch == 0
+    assert "epoch 0, batch 0" in str(err.value)
+    assert multiprocessing.active_children() == []
+
+
+def test_last_classifier_step_error_is_read_before_the_epoch_is_logged(monkeypatch):
+    ds = _toy_ds(n_per=16, d=8, n_classes=2)
+    appended = []
+    real_append = training.RunLog.append
+    monkeypatch.setattr(training.RunLog, "append",
+                        lambda log, rec: (appended.append(rec), real_append(log, rec)))
+    _poison(monkeypatch, "loss_c", 2, NumericError("poisoned C"))
+    with pytest.raises(TrainingAborted, match="poisoned C") as err:
+        train(ds, TrainConfig(epochs=2, batch=16, seed=1, mode="acsgan"))
+    assert err.value.epoch == 0 and err.value.batch == 1
+    assert err.value.last_good is None and appended == []
+    assert multiprocessing.active_children() == []
+
+
+def test_classifier_error_wins_over_generating_the_next_batch(monkeypatch):
+    ds = _toy_ds(n_per=16, d=8, n_classes=2)
+    _poison(monkeypatch, "loss_c", 1, NumericError("poisoned C"))
+    _poison(monkeypatch, "generate", 2, NumericError("poisoned generator"))
+    with pytest.raises(TrainingAborted, match="poisoned C") as err:
+        train(ds, TrainConfig(epochs=2, batch=16, seed=1, mode="mgsgan"))
+    assert err.value.epoch == 0 and err.value.batch == 0
+    assert multiprocessing.active_children() == []
+
+
+def _exit(*args, **kwargs):
+    os._exit(1)
+
+
+def _sleep_then_exit(*args, **kwargs):
+    time.sleep(0.5)  # meanwhile the parent sends C(1) and waits for C(0)'s reply
+    os._exit(1)
+
+
+_REAL_GENERATE = training.generate
+
+
+def _generate_once_the_worker_exited(*args, **kwargs):
+    for proc in multiprocessing.active_children():
+        proc.join(timeout=10)
+    return _REAL_GENERATE(*args, **kwargs)
+
+
+@pytest.mark.parametrize("case", ["sending", "receiving-unread", "receiving-at-epoch-end"])
+def test_worker_exit_raises_instead_of_hanging(monkeypatch, case):
+    ds = _toy_ds(n_per=16, d=8, n_classes=2)
+    real_loss_c = training.loss_c
+    if case == "sending":  # the worker is gone when C(1) is sent
+        monkeypatch.setattr(training, "loss_c", _on_call(1, _exit, real_loss_c))
+        monkeypatch.setattr(training, "generate",
+                            _on_call(2, _generate_once_the_worker_exited, _REAL_GENERATE))
+    elif case == "receiving-unread":  # it exits in C(0) with C(1) unread
+        monkeypatch.setattr(training, "loss_c", _on_call(1, _sleep_then_exit, real_loss_c))
+    else:  # it exits in C(1), whose reply is read at epoch end
+        monkeypatch.setattr(training, "loss_c", _on_call(2, _exit, real_loss_c))
+    with pytest.raises(RuntimeError, match=r"classifier worker exited \(exit code 1\)"):
+        train(ds, TrainConfig(epochs=2, batch=16, seed=1, mode="mgsgan"))
     assert multiprocessing.active_children() == []
