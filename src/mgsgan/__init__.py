@@ -6,12 +6,12 @@ from .evaluation import (ConfusionMatrix, EvalReport, average_accuracy, cohen_ka
 from .losses import (ClassPriors, DiscreteDistribution, adversarial_value,
                      game_value_at_optimum, js_divergence, loss_c, loss_d, loss_g,
                      optimal_discriminator)
-from .models import (ArchConfig, ClassDomain, Classifier, Discriminator, Generator,
-                     GeneratorBank, classify, compute_class_domains, discriminate)
+from .models import (ClassDomain, Classifier, Discriminator, Generator, GeneratorBank,
+                     classify, compute_class_domains, discriminate)
 from .training import RunLog, TrainConfig, TrainResult, train
 
 __all__ = [
-    "ArchConfig", "ClassDomain", "ClassPriors", "Classifier", "ConfusionMatrix",
+    "ClassDomain", "ClassPriors", "Classifier", "ConfusionMatrix",
     "DiscreteDistribution", "Discriminator", "EvalReport", "Generator", "GeneratorBank",
     "RunLog", "SpectralDataset", "SplitSpec", "TrainConfig", "TrainResult",
     "adversarial_value", "average_accuracy", "class_priors", "classify", "cohen_kappa",

@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import ContractError, DataError
 from .layers import BatchNorm1d, Conv1d, ConvTranspose1d, Dense
-from .models import (ArchConfig, ClassDomain, Classifier, Discriminator, Generator,
-                     GeneratorBank, HeadClassifier, Players, build_players, generator_plan)
+from .models import (ClassDomain, Classifier, Discriminator, Generator, GeneratorBank,
+                     HeadClassifier, Players, build_players, generator_plan)
 
 _MAGIC = b"MGSG"
 _VERSION = 1
@@ -176,16 +176,16 @@ def save_checkpoint_bytes(mode: str, gen, disc, classifier,
     return bytes(buf)
 
 
-def load_checkpoint_bytes(blob: bytes, arch: ArchConfig | None = None) -> LoadedCheckpoint:
+def load_checkpoint_bytes(blob: bytes) -> LoadedCheckpoint:
     if blob[:4] != _MAGIC:
         raise DataError("checkpoint: bad magic, not a checkpoint file")
     try:
-        return _parse_checkpoint(blob, arch)
+        return _parse_checkpoint(blob)
     except (struct.error, ValueError, ContractError) as exc:
         raise DataError(f"checkpoint: corrupt or truncated file ({exc})") from exc
 
 
-def _parse_checkpoint(blob: bytes, arch: ArchConfig | None) -> LoadedCheckpoint:
+def _parse_checkpoint(blob: bytes) -> LoadedCheckpoint:
     r = _Reader(blob)
     r.off = 4
     version, mode_tag, n, d, noise_dim = r.ints(5)
@@ -218,7 +218,7 @@ def _parse_checkpoint(blob: bytes, arch: ArchConfig | None) -> LoadedCheckpoint:
         off += 4 * d
         domains.append(ClassDomain(j, lo, hi))
 
-    players = build_players(mode, n, d, noise_dim, domains, np.random.default_rng(0), arch)
+    players = build_players(mode, n, d, noise_dim, domains, np.random.default_rng(0))
     nets = players.networks()
     if net_count != len(nets):
         raise DataError(f"checkpoint: {net_count} networks, expected {len(nets)} for {mode}")
@@ -234,6 +234,6 @@ def save_checkpoint(path, mode: str, gen, disc, classifier,
         fh.write(blob)
 
 
-def load_checkpoint(path, arch: ArchConfig | None = None) -> LoadedCheckpoint:
+def load_checkpoint(path) -> LoadedCheckpoint:
     with open(path, "rb") as fh:
-        return load_checkpoint_bytes(fh.read(), arch)
+        return load_checkpoint_bytes(fh.read())

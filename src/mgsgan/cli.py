@@ -243,6 +243,17 @@ def _discover_checkpoints(spec: str) -> list[Path]:
     return [p]
 
 
+def _run_seed(ckpt_path: Path, index: int) -> int:
+    """The seed a run directory `seed_<k>` names, else the checkpoint's index."""
+    name = ckpt_path.parent.name
+    if not name.startswith("seed_"):
+        return index
+    try:
+        return int(name.removeprefix("seed_"))
+    except ValueError:
+        raise DataError(f"{ckpt_path.parent}: run directory is not named seed_<integer>") from None
+
+
 def _checkpoint_for(ckpt_path, ds: SpectralDataset) -> LoadedCheckpoint:
     """Load a checkpoint and check it was trained on data of ds's d and N."""
     ck = load_checkpoint(ckpt_path)
@@ -265,8 +276,7 @@ def _cmd_eval(args) -> int:
         raise _UsageError("eval needs exactly one of --run-dir or --checkpoint")
     _train_n, test_n = _prepared_split(args.data, args.tttr, args.split_seed)
     ckpts = _discover_checkpoints(args.run_dir or args.checkpoint)
-    seeds = [int(p.parent.name.removeprefix("seed_")) if p.parent.name.startswith("seed_") else i
-             for i, p in enumerate(ckpts)]
+    seeds = [_run_seed(p, i) for i, p in enumerate(ckpts)]
     modes, preds = zip(*(_predictions_for(p, test_n) for p in ckpts))
     cms = [ConfusionMatrix.from_predictions(test_n.labels, pr, test_n.class_count)
            for pr in preds]

@@ -231,25 +231,17 @@ def load_bin(path) -> SpectralDataset:
     return ds
 
 
-def load_dataset(path, fmt: str | None = None) -> SpectralDataset:
-    if fmt is None:
-        fmt = "bin" if str(path).endswith(".bin") else "csv"
-    if fmt == "csv":
-        return load_csv(path)
-    if fmt == "bin":
-        return load_bin(path)
-    raise ContractError(f"load_dataset: unknown format {fmt!r}")
+def load_dataset(path) -> SpectralDataset:
+    """A `.bin` file is the binary format; any other path is CSV."""
+    return load_bin(path) if str(path).endswith(".bin") else load_csv(path)
 
 
-def save_dataset(path, ds: SpectralDataset, fmt: str | None = None):
-    if fmt is None:
-        fmt = "bin" if str(path).endswith(".bin") else "csv"
-    if fmt == "csv":
-        save_csv(path, ds)
-    elif fmt == "bin":
+def save_dataset(path, ds: SpectralDataset):
+    """A `.bin` path gets the binary format; any other path gets CSV."""
+    if str(path).endswith(".bin"):
         save_bin(path, ds)
     else:
-        raise ContractError(f"save_dataset: unknown format {fmt!r}")
+        save_csv(path, ds)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Layer and optimizer primitives built on the autodiff engine.
 
 Layers own their parameter tensors and know how to run forward in train or
-eval mode. A layer can be frozen: its forward then uses constant views of the
-parameters, so gradients still flow through the activations to the inputs but
-never reach the frozen weights (this is how the game updates keep the other
-players fixed).
+eval mode. A layer has no freeze switch of its own: a parameter whose
+`requires_grad` is False is a constant to the engine, so gradients still flow
+through the activations to the inputs but never reach it. The training loop
+holds the players it is not updating fixed that way, and a batch norm whose
+`gamma` is held fixed leaves its running statistics alone too.
 """
 
 from __future__ import annotations
@@ -36,22 +37,8 @@ def xavier_init(fan_in: int, fan_out: int, gain: float, rng: np.random.Generator
     return rng.normal(0.0, std, size=shape)
 
 
-class Layer:
-    """Base: parameter bookkeeping plus the freeze mechanism."""
-
-    def __init__(self):
-        self.frozen = False
-
-    def parameters(self) -> list[ad.Tensor]:
-        return []
-
-    def _p(self, t: ad.Tensor) -> ad.Tensor:
-        return ad.Tensor(t.data) if self.frozen else t
-
-
-class Dense(Layer):
+class Dense:
     def __init__(self, fan_in: int, fan_out: int, rng: np.random.Generator, gain: float = 1.0):
-        super().__init__()
         self.fan_in = fan_in
         self.fan_out = fan_out
         self.weight = ad.param(xavier_init(fan_in, fan_out, gain, rng))
@@ -61,13 +48,12 @@ class Dense(Layer):
         return [self.weight, self.bias]
 
     def forward(self, x: ad.Tensor) -> ad.Tensor:
-        return ad.add(ad.matmul(x, self._p(self.weight)), self._p(self.bias))
+        return ad.add(ad.matmul(x, self.weight), self.bias)
 
 
-class Conv1d(Layer):
+class Conv1d:
     def __init__(self, c_in: int, c_out: int, kernel: int, rng: np.random.Generator,
                  stride: int = 1, pad: int = 0, gain: float = 1.0):
-        super().__init__()
         self.stride = stride
         self.pad = pad
         self.fan_in = c_in * kernel
@@ -81,17 +67,15 @@ class Conv1d(Layer):
         return [self.weight, self.bias]
 
     def forward(self, x: ad.Tensor) -> ad.Tensor:
-        return ad.conv1d(x, self._p(self.weight), self._p(self.bias),
-                         stride=self.stride, pad=self.pad)
+        return ad.conv1d(x, self.weight, self.bias, stride=self.stride, pad=self.pad)
 
 
-class ConvTranspose1d(Layer):
+class ConvTranspose1d:
     """Upsampling adjoint of Conv1d; kernels stored as (c_in, c_out, K)."""
 
     def __init__(self, c_in: int, c_out: int, kernel: int, rng: np.random.Generator,
                  stride: int = 1, pad: int = 0, output_length: int | None = None,
                  gain: float = 1.0):
-        super().__init__()
         self.stride = stride
         self.pad = pad
         self.output_length = output_length
@@ -106,16 +90,14 @@ class ConvTranspose1d(Layer):
         return [self.weight, self.bias]
 
     def forward(self, x: ad.Tensor) -> ad.Tensor:
-        return ad.conv1d_transpose(x, self._p(self.weight), self._p(self.bias),
-                                   stride=self.stride, pad=self.pad,
-                                   output_length=self.output_length)
+        return ad.conv1d_transpose(x, self.weight, self.bias, stride=self.stride,
+                                   pad=self.pad, output_length=self.output_length)
 
 
-class BatchNorm1d(Layer):
+class BatchNorm1d:
     """Per-feature normalization; running stats kept as plain arrays."""
 
     def __init__(self, num_features: int, eps: float = BATCHNORM_EPS, momentum: float = 0.1):
-        super().__init__()
         self.eps = eps
         self.momentum = momentum
         self.gamma = ad.param(np.ones(num_features))
@@ -129,15 +111,14 @@ class BatchNorm1d(Layer):
     def forward(self, x: ad.Tensor, train: bool) -> ad.Tensor:
         if train:
             stats = {}
-            out = ad.batch_norm(x, self._p(self.gamma), self._p(self.beta), eps=self.eps,
-                                stats=stats)
-            if not self.frozen:  # a frozen player's state must not drift
+            out = ad.batch_norm(x, self.gamma, self.beta, eps=self.eps, stats=stats)
+            if self.gamma.requires_grad:  # a player held fixed must not drift
                 m = self.momentum
                 self.running_mean = (1 - m) * self.running_mean + m * stats["mean"]
                 self.running_var = (1 - m) * self.running_var + m * stats["var"]
             return out
-        return ad.batch_norm_eval(x, self._p(self.gamma), self._p(self.beta),
-                                  self.running_mean, self.running_var, eps=self.eps)
+        return ad.batch_norm_eval(x, self.gamma, self.beta, self.running_mean,
+                                  self.running_var, eps=self.eps)
 
     def state_arrays(self) -> list[np.ndarray]:
         return [self.gamma.data, self.beta.data, self.running_mean, self.running_var]

@@ -20,22 +20,19 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractError, DataError, ShapeError
-from .layers import BatchNorm1d, Conv1d, ConvTranspose1d, Dense, Layer
+from .layers import BatchNorm1d, Conv1d, ConvTranspose1d, Dense
 
 MODES = ("mgsgan", "acsgan", "achsgan")
 
-
-@dataclass
-class ArchConfig:
-    """Network width/kernel defaults; fixed so checkpoints are reconstructable."""
-
-    gen_channels: tuple = (12, 6)
-    disc_channels: tuple = (8, 16)
-    disc_kernel: int = 5
-    cls_kernels: tuple = (3, 5, 7)
-    cls_branch_channels: tuple = (6, 12)
-    cls_stride: int = 2
-    leaky_slope: float = 0.2
+# The architecture is fixed. A checkpoint holds layer shapes, not these values,
+# and loading rebuilds the players from them and checks the shapes agree.
+GEN_CHANNELS = (12, 6)
+DISC_CHANNELS = (8, 16)
+DISC_KERNEL = 5
+CLS_KERNELS = (3, 5, 7)
+CLS_BRANCH_CHANNELS = (6, 12)
+CLS_STRIDE = 2
+LEAKY_SLOPE = 0.2
 
 
 @dataclass
@@ -90,10 +87,8 @@ def _upsample_plan(d: int) -> tuple[int, int]:
 class Generator:
     """dense -> reshape -> transpose-conv stack -> tanh, output length d."""
 
-    def __init__(self, in_dim: int, d: int, rng: np.random.Generator,
-                 arch: ArchConfig | None = None):
-        arch = arch or ArchConfig()
-        c0, c1 = arch.gen_channels
+    def __init__(self, in_dim: int, d: int, rng: np.random.Generator):
+        c0, c1 = GEN_CHANNELS
         l0, l1 = _upsample_plan(d)
         self.in_dim = in_dim
         self.d = d
@@ -102,14 +97,10 @@ class Generator:
         self.fc = Dense(in_dim, c0 * l0, rng)
         self.up1 = ConvTranspose1d(c0, c1, 4, rng, stride=2, pad=1, output_length=l1)
         self.up2 = ConvTranspose1d(c1, 1, 4, rng, stride=2, pad=1, output_length=d)
-        self.layers: list[Layer] = [self.fc, self.up1, self.up2]
+        self.layers = [self.fc, self.up1, self.up2]
 
     def parameters(self):
         return [p for layer in self.layers for p in layer.parameters()]
-
-    def set_frozen(self, frozen: bool):
-        for layer in self.layers:
-            layer.frozen = frozen
 
     def forward(self, z: ad.Tensor) -> ad.Tensor:
         if z.ndim != 2 or z.shape[1] != self.in_dim:
@@ -138,7 +129,6 @@ class GeneratorBank:
         self.generators = generators
         self.domains = domains
         self.noise_dim = noise_dim
-        self.frozen = False
         self.lower = np.stack([dom.lower for dom in domains])
         self.upper = np.stack([dom.upper for dom in domains])
         per_gen = [g.parameters() for g in generators]
@@ -154,9 +144,6 @@ class GeneratorBank:
 
     def parameters(self):
         return list(self.params)
-
-    def set_frozen(self, frozen: bool):
-        self.frozen = frozen
 
     def generate(self, z: ad.Tensor, class_id: int) -> ad.Tensor:
         """Raw tanh output of generator `class_id`, clamped into its box."""
@@ -175,8 +162,7 @@ class GeneratorBank:
             raise ContractError(f"generate_batch: class ids outside [0, {n})")
         order = np.argsort(classes, kind="stable")
         bounds = np.concatenate([[0], np.cumsum(np.bincount(classes, minlength=n))])
-        fc_w, fc_b, up1_w, up1_b, up2_w, up2_b = (
-            ad.Tensor(p.data) if self.frozen else p for p in self.params)
+        fc_w, fc_b, up1_w, up1_b, up2_w, up2_b = self.params
         g0 = self.generators[0]
         h = ad.relu(ad.bank_dense(ad.permute_rows(z, order), fc_w, fc_b, bounds))
         h = ad.reshape(h, (b, g0.c0, g0.l0))
@@ -193,14 +179,11 @@ class GeneratorBank:
 class Discriminator:
     """conv stack -> dense head; n_out=1 gives the real/fake sigmoid player."""
 
-    def __init__(self, d: int, rng: np.random.Generator, n_out: int = 1,
-                 arch: ArchConfig | None = None):
-        arch = arch or ArchConfig()
-        c1, c2 = arch.disc_channels
-        k = arch.disc_kernel
+    def __init__(self, d: int, rng: np.random.Generator, n_out: int = 1):
+        c1, c2 = DISC_CHANNELS
+        k = DISC_KERNEL
         self.d = d
         self.n_out = n_out
-        self.slope = arch.leaky_slope
         self.conv1 = Conv1d(1, c1, k, rng, stride=2, pad=k // 2)
         self.conv2 = Conv1d(c1, c2, k, rng, stride=2, pad=k // 2)
         self.bn = BatchNorm1d(c2)
@@ -208,21 +191,17 @@ class Discriminator:
         l2 = (l1 + 2 * (k // 2) - k) // 2 + 1
         self.feat = c2 * l2
         self.head = Dense(self.feat, n_out, rng)
-        self.layers: list[Layer] = [self.conv1, self.conv2, self.bn, self.head]
+        self.layers = [self.conv1, self.conv2, self.bn, self.head]
 
     def parameters(self):
         return [p for layer in self.layers for p in layer.parameters()]
-
-    def set_frozen(self, frozen: bool):
-        for layer in self.layers:
-            layer.frozen = frozen
 
     def logits(self, x: ad.Tensor, train: bool) -> ad.Tensor:
         if x.ndim != 2 or x.shape[1] != self.d:
             raise ShapeError(f"Discriminator: expected (B, {self.d}) input, got {x.shape}")
         h = ad.reshape(x, (x.shape[0], 1, self.d))
-        h = ad.leaky_relu(self.conv1.forward(h), self.slope)
-        h = ad.leaky_relu(self.bn.forward(self.conv2.forward(h), train), self.slope)
+        h = ad.leaky_relu(self.conv1.forward(h), LEAKY_SLOPE)
+        h = ad.leaky_relu(self.bn.forward(self.conv2.forward(h), train), LEAKY_SLOPE)
         h = ad.reshape(h, (x.shape[0], self.feat))
         return self.head.forward(h)
 
@@ -245,17 +224,14 @@ def discriminate(disc: Discriminator, x: np.ndarray) -> float:
 class Classifier:
     """Parallel conv branches with distinct kernel sizes feeding an N-way softmax."""
 
-    def __init__(self, d: int, n_classes: int, rng: np.random.Generator,
-                 arch: ArchConfig | None = None):
-        arch = arch or ArchConfig()
+    def __init__(self, d: int, n_classes: int, rng: np.random.Generator):
         self.d = d
         self.n_classes = n_classes
-        self.slope = arch.leaky_slope
-        cb1, cb2 = arch.cls_branch_channels
-        s = arch.cls_stride
+        cb1, cb2 = CLS_BRANCH_CHANNELS
+        s = CLS_STRIDE
         self.branches = []
         feat = 0
-        for k in arch.cls_kernels:
+        for k in CLS_KERNELS:
             p = (k - 1) // 2
             conv_a = Conv1d(1, cb1, k, rng, stride=s, pad=p)
             conv_b = Conv1d(cb1, cb2, k, rng, stride=s, pad=p)
@@ -266,16 +242,10 @@ class Classifier:
             self.branches.append((conv_a, conv_b, bn, cb2 * l2))
         self.feat = feat
         self.head = Dense(feat, n_classes, rng)
-        self.layers: list[Layer] = [
-            layer for br in self.branches for layer in br[:3]
-        ] + [self.head]
+        self.layers = [layer for br in self.branches for layer in br[:3]] + [self.head]
 
     def parameters(self):
         return [p for layer in self.layers for p in layer.parameters()]
-
-    def set_frozen(self, frozen: bool):
-        for layer in self.layers:
-            layer.frozen = frozen
 
     def logits(self, x: ad.Tensor, train: bool) -> ad.Tensor:
         if x.ndim != 2 or x.shape[1] != self.d:
@@ -283,8 +253,8 @@ class Classifier:
         h0 = ad.reshape(x, (x.shape[0], 1, self.d))
         feats = []
         for conv_a, conv_b, bn, width in self.branches:
-            h = ad.leaky_relu(conv_a.forward(h0), self.slope)
-            h = ad.leaky_relu(bn.forward(conv_b.forward(h), train), self.slope)
+            h = ad.leaky_relu(conv_a.forward(h0), LEAKY_SLOPE)
+            h = ad.leaky_relu(bn.forward(conv_b.forward(h), train), LEAKY_SLOPE)
             feats.append(ad.reshape(h, (x.shape[0], width)))
         return self.head.forward(ad.concat(feats, axis=1))
 
@@ -346,17 +316,15 @@ def predict_labels(cls, samples: np.ndarray, batch: int = 256) -> np.ndarray:
 
 
 def build_generator_bank(n_classes: int, d: int, noise_dim: int,
-                         domains: list[ClassDomain], rng: np.random.Generator,
-                         arch: ArchConfig | None = None) -> GeneratorBank:
-    gens = [Generator(noise_dim, d, rng, arch) for _ in range(n_classes)]
+                         domains: list[ClassDomain], rng: np.random.Generator) -> GeneratorBank:
+    gens = [Generator(noise_dim, d, rng) for _ in range(n_classes)]
     return GeneratorBank(gens, domains, noise_dim)
 
 
 def build_conditional_generator(n_classes: int, d: int, noise_dim: int,
-                                rng: np.random.Generator,
-                                arch: ArchConfig | None = None) -> Generator:
+                                rng: np.random.Generator) -> Generator:
     """Single generator conditioned by concatenating a one-hot class code to z."""
-    return Generator(noise_dim + n_classes, d, rng, arch)
+    return Generator(noise_dim + n_classes, d, rng)
 
 
 class Players(NamedTuple):
@@ -389,7 +357,7 @@ def generator_plan(mode: str, n: int, noise_dim: int) -> tuple[int, int]:
 
 
 def build_players(mode: str, n: int, d: int, noise_dim: int, domains: list[ClassDomain],
-                  rng: np.random.Generator, arch: ArchConfig | None = None) -> Players:
+                  rng: np.random.Generator) -> Players:
     """The players of `mode`, initialised from rng in the order G, D, C.
 
     mgsgan: one generator per class plus its box; acsgan: one generator
@@ -399,14 +367,14 @@ def build_players(mode: str, n: int, d: int, noise_dim: int, domains: list[Class
     if mode not in MODES:
         raise ContractError(f"build_players: unknown mode {mode!r}")
     if mode == "mgsgan":
-        gen = build_generator_bank(n, d, noise_dim, domains, rng, arch)
+        gen = build_generator_bank(n, d, noise_dim, domains, rng)
     else:
-        gen = build_conditional_generator(n, d, noise_dim, rng, arch)
+        gen = build_conditional_generator(n, d, noise_dim, rng)
     if mode == "achsgan":
-        disc = Discriminator(d, rng, n_out=n + 1, arch=arch)
+        disc = Discriminator(d, rng, n_out=n + 1)
         return Players(gen, disc, HeadClassifier(disc, n))
-    disc = Discriminator(d, rng, n_out=1, arch=arch)
-    return Players(gen, disc, Classifier(d, n, rng, arch))
+    disc = Discriminator(d, rng, n_out=1)
+    return Players(gen, disc, Classifier(d, n, rng))
 
 
 def generate(gen: GeneratorBank | Generator, z: np.ndarray, classes: np.ndarray) -> ad.Tensor:

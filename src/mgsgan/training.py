@@ -1,18 +1,19 @@
 """End-to-end training loop: per batch, one D step, one C step, one G step.
 
-The D and G updates freeze every other player (their parameters become
-constants for that forward pass, so no gradient can reach them), and the fake
-batch fed to the D and C updates is detached from the generator graph. The C
-step reads only real rows and that detached batch, so in mgsgan and acsgan it
-runs in a worker process that owns the classifier, one batch behind the
-parent: C(b) is sent as soon as batch b is generated, and C(b-1)'s reply is
-read only then, before D(b); the last batch's reply is read at epoch end. Its
-results are the same bits as in the order D, C, G, and an error is reported
-at the batch of the step that raised it, in that order: an error of D(b)
-wins, then C(b)'s, then G(b)'s or one in generating batch b+1. Noise,
-class sampling, data order and initialization each draw from their own seeded
-stream, so a run is bit-reproducible from (seed, config, dataset) and all
-modes share the same data order for a given seed.
+Each update holds the other players fixed in one way only: `_Freezer` sets
+`requires_grad` False on their parameters, which makes them constants to the
+engine, so no gradient reaches them and their batch norms keep their running
+statistics. The fake batch fed to the D and C updates is detached from the
+generator graph. The C step reads only real rows and that detached batch, so
+in mgsgan and acsgan it runs in a worker process that owns the classifier,
+one batch behind the parent: C(b) is sent as soon as batch b is generated,
+and C(b-1)'s reply is read only then, before D(b); the last batch's reply is
+read at epoch end. Its results are the same bits as in the order D, C, G, and
+an error is reported at the batch of the step that raised it, in that order:
+an error of D(b) wins, then C(b)'s, then G(b)'s or one in generating batch
+b+1. Noise, class sampling, data order and initialization each draw from
+their own seeded stream, so a run is bit-reproducible from (seed, config,
+dataset) and all modes share the same data order for a given seed.
 
 Losses are checked for finiteness by the engine on every op; a non-finite
 value aborts the run with the epoch/batch context and the serialized
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import multiprocessing
 import signal
 import time
@@ -40,8 +42,8 @@ from .data import SpectralDataset, class_priors
 from .errors import ContractError, NumericError, TrainingAborted
 from .layers import Adam, BatchNorm1d
 from .losses import ClampLog, ClassPriors, _safe_log, loss_c, loss_d, loss_g
-from .models import (MODES, ArchConfig, Classifier, Discriminator, HeadClassifier,
-                     _take_cols, build_players, compute_class_domains, generate)
+from .models import (MODES, Classifier, Discriminator, HeadClassifier, _take_cols,
+                     build_players, compute_class_domains, generate)
 
 NOISE_DISTS = ("normal", "normal-shifted", "uniform")
 PRIOR_MODES = ("empirical", "uniform")
@@ -65,12 +67,21 @@ class TrainConfig:
     checkpoint_interval: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.lr < 0 or self.noise_dim < 1:
-            raise ContractError("TrainConfig: epochs/lr/noise_dim out of range")
+        if self.epochs < 0 or self.noise_dim < 1:
+            raise ContractError("TrainConfig: epochs/noise_dim out of range")
         if self.batch < 2:
             raise ContractError(f"TrainConfig: batch norm needs batch >= 2, got {self.batch}")
-        if self.domain_margin < 0:
-            raise ContractError("TrainConfig: domain_margin must be >= 0")
+        for name in ("lr", "domain_margin"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ContractError(f"TrainConfig: {name} must be finite and >= 0, got {value}")
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            if not 0 <= value < 1:  # also rejects nan
+                raise ContractError(f"TrainConfig: {name} must lie in [0, 1), got {value}")
+        if self.checkpoint_interval < 0:
+            raise ContractError(f"TrainConfig: checkpoint_interval must be >= 0, "
+                                f"got {self.checkpoint_interval}")
         if self.mode not in MODES:
             raise ContractError(f"TrainConfig: unknown mode {self.mode!r}")
         if self.prior_mode not in PRIOR_MODES:
@@ -154,7 +165,14 @@ def _draw_noise(rng: np.random.Generator, n: int, dim: int, dist: str) -> np.nda
 
 
 class _Freezer:
-    """Context manager freezing every player except the one being updated."""
+    """Holds every player but `active` fixed for the with block.
+
+    The others' parameters get `requires_grad` False: the engine treats them
+    as constants, so backward gives them no gradient, and a batch norm among
+    them leaves its running statistics alone. On exit, also when the block
+    raises, every parameter is trainable again. This is the only code that
+    sets `requires_grad` on parameters.
+    """
 
     def __init__(self, players: dict, active: str):
         self.players = players
@@ -162,16 +180,17 @@ class _Freezer:
 
     def __enter__(self):
         for name, player in self.players.items():
-            player.set_frozen(name != self.active)
+            for p in player.parameters():
+                p.requires_grad = name == self.active
 
     def __exit__(self, *exc):
         for player in self.players.values():
-            player.set_frozen(False)
+            for p in player.parameters():
+                p.requires_grad = True
 
 
 @blas.single_thread()
-def train(train_ds: SpectralDataset, config: TrainConfig,
-          arch: ArchConfig | None = None, checkpoint_dir=None) -> TrainResult:
+def train(train_ds: SpectralDataset, config: TrainConfig, checkpoint_dir=None) -> TrainResult:
     """Run the configured game on a (normalized) training split, on one BLAS thread.
 
     With `checkpoint_dir` set and config.checkpoint_interval > 0, a checkpoint
@@ -193,7 +212,7 @@ def train(train_ds: SpectralDataset, config: TrainConfig,
     priors = class_priors(train_ds, config.prior_mode)
     domains = compute_class_domains(train_ds, config.domain_margin)
 
-    all_players = build_players(config.mode, n, d, config.noise_dim, domains, rng_init, arch)
+    all_players = build_players(config.mode, n, d, config.noise_dim, domains, rng_init)
     players = all_players.trainable()
     adams = {k: Adam(p.parameters(), lr=config.lr, beta1=config.beta1, beta2=config.beta2)
              for k, p in players.items()}

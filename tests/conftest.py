@@ -1,5 +1,7 @@
 """Shared test helpers: the central finite-difference gradient oracle."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -60,3 +62,17 @@ def made_nodes(monkeypatch):
 
     monkeypatch.setattr(ad, "_make", recording_make)
     return made
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process running, such as an unreaped classifier worker.
+
+    The children are ended here, so one leak does not fail the tests after it.
+    """
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.terminate()
+        child.join(timeout=5)
+    assert left == [], f"child processes left running: {left}"

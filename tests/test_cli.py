@@ -187,6 +187,19 @@ def test_train_batch_of_one_rejected_before_data_is_read(tmp_path):
     assert rc == EXIT_USAGE
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--lr", "nan"), ("--lr", "inf"), ("--domain-margin", "nan"), ("--domain-margin", "inf"),
+    ("--beta1", "1.5"), ("--beta1", "nan"), ("--beta2", "1.0"), ("--beta2", "-0.1"),
+    ("--checkpoint-interval", "-1"),
+])
+def test_train_bad_config_value_rejected_before_data_is_read(tmp_path, capsys, flag, value):
+    # the data file does not exist: a data error would mean it was read first
+    rc = main(["train", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "run"),
+               "--epochs", "1", "--tttr", "0.5", "--batch", "16", flag, value])
+    assert rc == EXIT_USAGE
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
+
 def test_eval_report_and_compare_identical_checkpoints(tmp_path):
     data = _synth(tmp_path)
     out = tmp_path / "run"
@@ -203,6 +216,18 @@ def test_eval_report_and_compare_identical_checkpoints(tmp_path):
     assert payload["mcnemar_vs"]["mgsgan"]["significant"] is False
     table = report.with_suffix(".txt").read_text()
     assert "OA" in table and "Kappa" in table and "AA" in table
+
+
+def test_eval_run_dir_with_non_integer_seed_is_data_error(tmp_path, capsys):
+    data = _synth(tmp_path)
+    out = tmp_path / "run"
+    main(["train", "--data", str(data), "--out", str(out), "--epochs", "0",
+          "--tttr", "0.5", "--batch", "16", "--seeds", "0"])
+    (out / "seed_0").rename(out / "seed_best")
+    rc = main(["eval", "--data", str(data), "--run-dir", str(out),
+               "--tttr", "0.5", "--out", str(tmp_path / "rep")])
+    assert rc == EXIT_DATA
+    assert "seed_best" in capsys.readouterr().err
 
 
 def test_eval_dimension_mismatch_is_data_error(tmp_path):

@@ -179,13 +179,19 @@ def test_batchnorm_running_stats_update_only_in_train():
     assert np.all(bn.running_mean != 0.0)
 
 
+def _hold_fixed(layer):
+    for p in layer.parameters():
+        p.requires_grad = False
+
+
 def test_frozen_batchnorm_keeps_running_stats():
     rng = np.random.default_rng(4)
     bn = BatchNorm1d(2)
-    bn.frozen = True
-    before = bn.running_mean.copy()
+    _hold_fixed(bn)
+    before = (bn.running_mean.copy(), bn.running_var.copy())
     bn.forward(ad.const(rng.standard_normal((8, 2)) + 3.0), train=True)
-    np.testing.assert_array_equal(bn.running_mean, before)
+    np.testing.assert_array_equal(bn.running_mean, before[0])
+    np.testing.assert_array_equal(bn.running_var, before[1])
 
 
 def test_conv_adjoint_identity_random_geometries():
@@ -233,9 +239,10 @@ def test_dense_and_conv_layer_gradients():
 def test_frozen_layer_blocks_parameter_gradients():
     rng = np.random.default_rng(2)
     dense = Dense(3, 2, rng)
-    dense.frozen = True
+    _hold_fixed(dense)
     x = ad.param(rng.standard_normal((4, 3)))
     out = dense.forward(x)
     ad.backward(ad.sum_(out))
     assert dense.weight.grad is None and dense.bias.grad is None
-    assert x.grad is not None
+    # d sum(x W + b) / dx = 1 W^T: the input gradient flows through the fixed weight
+    np.testing.assert_array_equal(x.grad, np.ones((4, 2)) @ dense.weight.data.T)

@@ -25,15 +25,12 @@ class ConstantDisc:
 class LogisticDisc:
     """Differentiable 1-d stub: sigmoid(a*x + b) with trainable (a, b)."""
 
-    def __init__(self, a, b, frozen=False):
+    def __init__(self, a, b):
         self.a = ad.param([a])
         self.b = ad.param([b])
-        self.frozen = frozen
 
     def prob(self, x, train):
-        a = ad.const(self.a.data) if self.frozen else self.a
-        b = ad.const(self.b.data) if self.frozen else self.b
-        return ad.sigmoid(ad.add(ad.mul(ad.reshape(x, (x.shape[0],)), a), b))
+        return ad.sigmoid(ad.add(ad.mul(ad.reshape(x, (x.shape[0],)), self.a), self.b))
 
 
 class UniformClassifier:
@@ -113,8 +110,9 @@ def test_loss_g_nonsaturating_at_half():
 
 
 def test_loss_g_gradient_reaches_generator_not_discriminator():
-    # the update contract freezes D during the G step
-    disc = LogisticDisc(0.8, -0.2, frozen=True)
+    # the update contract holds D fixed during the G step
+    disc = LogisticDisc(0.8, -0.2)
+    disc.a.requires_grad = disc.b.requires_grad = False
     theta = ad.param([0.3])  # one-parameter "generator": its output is theta
     fake = ad.reshape(ad.mul(theta, ad.const([1.0])), (1, 1))
     priors = ClassPriors.uniform(1)
