@@ -63,9 +63,6 @@ class Tensor:
         """Leaf tensor sharing this buffer, cut off from the graph."""
         return Tensor(self.data, requires_grad=False)
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -90,15 +87,6 @@ class Tensor:
 
     def __rsub__(self, other):
         return add(_wrap(other), -self)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise ContractError("division is supported by scalar constants only")
-        return mul(self, _wrap(1.0 / float(other)))
-
-
-def tensor(data, requires_grad=False, dtype=np.float64) -> Tensor:
-    return Tensor(np.asarray(data, dtype=dtype), requires_grad=requires_grad)
 
 
 def param(data, dtype=np.float64) -> Tensor:

@@ -15,10 +15,12 @@ Layout (all little-endian):
             n_arrs  u32      followed per array by u64 element count + f32 payload
     N domain boxes: per class, d f32 lower bounds then d f32 upper bounds
 
-Networks appear in the order of `models.Players.networks`: the per-class
-generators (mgsgan) or the single conditional generator, then the
-discriminator, then the classifier (absent for achsgan, whose class head lives
-in the discriminator).
+Networks appear in this order: one per expert of the generator stack (N for
+mgsgan, one for the conditional generator), then the discriminator, then the
+classifier (absent for achsgan, whose class head lives in the discriminator).
+Expert j's network is a dense and two conv1d_transpose records written from
+row j of the stack's (experts, …) parameters. Loading builds fresh players
+and copies every record into their arrays in place.
 Weights are stored in f32, so the first save of an f64-trained model is a
 quantization; save -> load -> save is bit-identical.
 """
@@ -31,9 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DataError
-from .layers import BatchNorm1d, Conv1d, ConvTranspose1d, Dense
-from .models import (ClassDomain, Classifier, Discriminator, Generator, GeneratorBank,
-                     HeadClassifier, Players, build_players, generator_plan)
+from .layers import BatchNorm1d, Conv1d, Dense
+from .models import (GEN_KERNEL, GEN_PAD, GEN_STRIDE, ClassDomain, Classifier, Discriminator,
+                     Generator, GeneratorBank, HeadClassifier, Players, build_players,
+                     generator_plan)
 
 _MAGIC = b"MGSG"
 _VERSION = 1
@@ -61,11 +64,6 @@ class LoadedCheckpoint:
 def _layer_record(layer):
     if isinstance(layer, Dense):
         return _KIND_DENSE, [layer.fan_in, layer.fan_out], [layer.weight.data, layer.bias.data]
-    if isinstance(layer, ConvTranspose1d):
-        c_in, c_out, k = layer.weight.shape
-        out_len = layer.output_length if layer.output_length is not None else 0
-        return (_KIND_CONVT, [c_in, c_out, k, layer.stride, layer.pad, out_len],
-                [layer.weight.data, layer.bias.data])
     if isinstance(layer, Conv1d):
         c_out, c_in, k = layer.weight.shape
         return (_KIND_CONV, [c_in, c_out, k, layer.stride, layer.pad],
@@ -75,11 +73,25 @@ def _layer_record(layer):
     raise ContractError(f"cannot serialize layer of type {type(layer).__name__}")
 
 
-def _write_network(buf: bytearray, net):
-    layers = net.layers
-    buf += struct.pack("<I", len(layers))
-    for layer in layers:
-        kind, ints, arrays = _layer_record(layer)
+def _expert_records(gen: Generator, j: int) -> list:
+    """Expert j's dense and transpose-conv records, arrays viewing row j of the stack."""
+    fc_w, fc_b, *ups = (p.data[j] for p in gen.parameters())
+    return [(_KIND_DENSE, list(fc_w.shape), [fc_w, fc_b])] + [
+        (_KIND_CONVT, [c_in, c_out, GEN_KERNEL, GEN_STRIDE, GEN_PAD, length], [w, b])
+        for (c_in, c_out, length), w, b in zip(gen.ups, ups[0::2], ups[1::2], strict=True)]
+
+
+def _network_records(players: Players) -> list:
+    """Each network's layer records in file order: the experts, D, then a separate C."""
+    gen, *rest = players.trainable().values()
+    stack = gen.generator if isinstance(gen, GeneratorBank) else gen
+    return ([_expert_records(stack, j) for j in range(stack.experts)]
+            + [[_layer_record(layer) for layer in net.layers] for net in rest])
+
+
+def _write_network(buf: bytearray, records):
+    buf += struct.pack("<I", len(records))
+    for kind, ints, arrays in records:
         buf += struct.pack("<I", kind)
         buf += struct.pack("<I", len(ints))
         buf += struct.pack(f"<{len(ints)}I", *ints)
@@ -138,11 +150,12 @@ def _generator_io(records) -> tuple[int, int] | None:
     return records[0][1][0], records[-1][1][5]
 
 
-def _load_network(net, records, what: str):
-    if len(records) != len(net.layers):
-        raise DataError(f"checkpoint: {what} has {len(records)} layers, expected {len(net.layers)}")
-    for i, (layer, (kind, ints, arrays)) in enumerate(zip(net.layers, records)):
-        want_kind, want_ints, want_arrays = _layer_record(layer)
+def _load_network(want, records, what: str):
+    """Copy a network's records into the arrays of `want`, the fresh network's records."""
+    if len(records) != len(want):
+        raise DataError(f"checkpoint: {what} has {len(records)} layers, expected {len(want)}")
+    for i, ((kind, ints, arrays), (want_kind, want_ints, want_arrays)) in enumerate(
+            zip(records, want)):
         if kind != want_kind or ints != want_ints:
             raise DataError(
                 f"checkpoint: {what} layer {i} mismatch (kind {kind}, ints {ints}; "
@@ -150,26 +163,23 @@ def _load_network(net, records, what: str):
             )
         if [a.size for a in arrays] != [w.size for w in want_arrays]:
             raise DataError(f"checkpoint: {what} layer {i} payload size mismatch")
-        if isinstance(layer, BatchNorm1d):
-            layer.load_state_arrays([a.reshape(w.shape) for a, w in zip(arrays, layer.state_arrays())])
-        else:  # in place: a bank generator's weights are views of the stacked arrays
-            layer.weight.data[...] = arrays[0].reshape(layer.weight.shape)
-            layer.bias.data[...] = arrays[1].reshape(layer.bias.shape)
+        for dst, src in zip(want_arrays, arrays):
+            dst[...] = src.reshape(dst.shape)
 
 
 def save_checkpoint_bytes(mode: str, gen, disc, classifier,
                           domains: list[ClassDomain], noise_dim: int) -> bytes:
     if mode not in _MODES:
-        raise ContractError(f"save_checkpoint: unknown mode {mode!r}")
+        raise ContractError(f"save_checkpoint_bytes: unknown mode {mode!r}")
     n = len(domains)
     d = disc.d
     buf = bytearray()
     buf += _MAGIC
     buf += struct.pack("<IIIII", _VERSION, _MODES[mode], n, d, noise_dim)
-    nets = Players(gen, disc, classifier).networks()
+    nets = _network_records(Players(gen, disc, classifier))
     buf += struct.pack("<I", len(nets))
-    for net in nets:
-        _write_network(buf, net)
+    for records in nets:
+        _write_network(buf, records)
     for dom in domains:
         buf += np.ascontiguousarray(dom.lower, dtype="<f4").tobytes()
         buf += np.ascontiguousarray(dom.upper, dtype="<f4").tobytes()
@@ -219,19 +229,12 @@ def _parse_checkpoint(blob: bytes) -> LoadedCheckpoint:
         domains.append(ClassDomain(j, lo, hi))
 
     players = build_players(mode, n, d, noise_dim, domains, np.random.default_rng(0))
-    nets = players.networks()
+    nets = _network_records(players)
     if net_count != len(nets):
         raise DataError(f"checkpoint: {net_count} networks, expected {len(nets)} for {mode}")
-    for i, net in enumerate(nets):
-        _load_network(net, records[i], f"network {i}")
+    for i, want in enumerate(nets):
+        _load_network(want, records[i], f"network {i}")
     return LoadedCheckpoint(mode, n, d, noise_dim, *players, domains)
-
-
-def save_checkpoint(path, mode: str, gen, disc, classifier,
-                    domains: list[ClassDomain], noise_dim: int):
-    blob = save_checkpoint_bytes(mode, gen, disc, classifier, domains, noise_dim)
-    with open(path, "wb") as fh:
-        fh.write(blob)
 
 
 def load_checkpoint(path) -> LoadedCheckpoint:

@@ -42,10 +42,6 @@ class Normalization:
         scaled = 2.0 * (samples - self.band_min) / span - 1.0
         return np.clip(scaled, -1.0, 1.0)
 
-    def invert(self, samples: np.ndarray) -> np.ndarray:
-        span = np.where(self.band_max > self.band_min, self.band_max - self.band_min, 1.0)
-        return (samples + 1.0) / 2.0 * span + self.band_min
-
 
 @dataclass
 class SpectralDataset:

@@ -3,7 +3,7 @@
 The confusion matrix follows the rows = truth, columns = prediction
 convention. McNemar's statistic is the signed z form
 (f12 - f21) / sqrt(f12 + f21) over the discordant pairs, judged significant
-above 1.96; the continuity-corrected variant is available behind a flag.
+above 1.96.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class McNemarResult:
                 "statistic": self.statistic, "significant": self.significant}
 
 
-def mcnemar(preds_a, preds_b, truth, corrected: bool = False) -> McNemarResult:
+def mcnemar(preds_a, preds_b, truth) -> McNemarResult:
     """Signed z statistic over the discordant pairs of two aligned classifiers."""
     preds_a = np.asarray(preds_a, dtype=np.int64)
     preds_b = np.asarray(preds_b, dtype=np.int64)
@@ -108,11 +108,7 @@ def mcnemar(preds_a, preds_b, truth, corrected: bool = False) -> McNemarResult:
     if f12 + f21 == 0:
         logger.info("mcnemar: no discordant pairs, statistic defined as 0")
         return McNemarResult(0, 0, 0.0, False)
-    diff = f12 - f21
-    if corrected:
-        stat = math.copysign(max(abs(diff) - 1, 0), diff) / math.sqrt(f12 + f21)
-    else:
-        stat = diff / math.sqrt(f12 + f21)
+    stat = (f12 - f21) / math.sqrt(f12 + f21)
     return McNemarResult(f12, f21, float(stat), stat > MCNEMAR_THRESHOLD)
 
 

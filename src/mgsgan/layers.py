@@ -20,28 +20,28 @@ from .errors import ContractError
 ADAM_EPS = 1e-8
 ADAM_BLOCK = 1 << 16  # elements per in-place Adam block: its temporaries stay in cache
 BATCHNORM_EPS = 1e-5
+BATCHNORM_MOMENTUM = 0.1  # weight of each batch in the running statistics
 
 
-def xavier_std(fan_in: int, fan_out: int, gain: float = 1.0) -> float:
+def xavier_std(fan_in: int, fan_out: int) -> float:
     if fan_in < 1 or fan_out < 1:
         raise ContractError(f"xavier_std: fans must be positive, got ({fan_in}, {fan_out})")
-    return gain * math.sqrt(2.0 / (fan_in + fan_out))
+    return math.sqrt(2.0 / (fan_in + fan_out))
 
 
-def xavier_init(fan_in: int, fan_out: int, gain: float, rng: np.random.Generator,
-                shape=None) -> np.ndarray:
-    """Normal draw with std = gain * sqrt(2 / (fan_in + fan_out))."""
-    std = xavier_std(fan_in, fan_out, gain)
+def xavier_init(fan_in: int, fan_out: int, rng: np.random.Generator, shape=None) -> np.ndarray:
+    """Normal draw with std = sqrt(2 / (fan_in + fan_out))."""
+    std = xavier_std(fan_in, fan_out)
     if shape is None:
         shape = (fan_in, fan_out)
     return rng.normal(0.0, std, size=shape)
 
 
 class Dense:
-    def __init__(self, fan_in: int, fan_out: int, rng: np.random.Generator, gain: float = 1.0):
+    def __init__(self, fan_in: int, fan_out: int, rng: np.random.Generator):
         self.fan_in = fan_in
         self.fan_out = fan_out
-        self.weight = ad.param(xavier_init(fan_in, fan_out, gain, rng))
+        self.weight = ad.param(xavier_init(fan_in, fan_out, rng))
         self.bias = ad.param(np.zeros(fan_out))
 
     def parameters(self):
@@ -53,13 +53,13 @@ class Dense:
 
 class Conv1d:
     def __init__(self, c_in: int, c_out: int, kernel: int, rng: np.random.Generator,
-                 stride: int = 1, pad: int = 0, gain: float = 1.0):
+                 stride: int = 1, pad: int = 0):
         self.stride = stride
         self.pad = pad
         self.fan_in = c_in * kernel
         self.fan_out = c_out * kernel
         self.weight = ad.param(
-            xavier_init(self.fan_in, self.fan_out, gain, rng, shape=(c_out, c_in, kernel))
+            xavier_init(self.fan_in, self.fan_out, rng, shape=(c_out, c_in, kernel))
         )
         self.bias = ad.param(np.zeros(c_out))
 
@@ -74,15 +74,14 @@ class ConvTranspose1d:
     """Upsampling adjoint of Conv1d; kernels stored as (c_in, c_out, K)."""
 
     def __init__(self, c_in: int, c_out: int, kernel: int, rng: np.random.Generator,
-                 stride: int = 1, pad: int = 0, output_length: int | None = None,
-                 gain: float = 1.0):
+                 stride: int = 1, pad: int = 0, output_length: int | None = None):
         self.stride = stride
         self.pad = pad
         self.output_length = output_length
         self.fan_in = c_in * kernel
         self.fan_out = c_out * kernel
         self.weight = ad.param(
-            xavier_init(self.fan_in, self.fan_out, gain, rng, shape=(c_in, c_out, kernel))
+            xavier_init(self.fan_in, self.fan_out, rng, shape=(c_in, c_out, kernel))
         )
         self.bias = ad.param(np.zeros(c_out))
 
@@ -97,9 +96,8 @@ class ConvTranspose1d:
 class BatchNorm1d:
     """Per-feature normalization; running stats kept as plain arrays."""
 
-    def __init__(self, num_features: int, eps: float = BATCHNORM_EPS, momentum: float = 0.1):
+    def __init__(self, num_features: int, eps: float = BATCHNORM_EPS):
         self.eps = eps
-        self.momentum = momentum
         self.gamma = ad.param(np.ones(num_features))
         self.beta = ad.param(np.zeros(num_features))
         self.running_mean = np.zeros(num_features)
@@ -113,7 +111,7 @@ class BatchNorm1d:
             stats = {}
             out = ad.batch_norm(x, self.gamma, self.beta, eps=self.eps, stats=stats)
             if self.gamma.requires_grad:  # a player held fixed must not drift
-                m = self.momentum
+                m = BATCHNORM_MOMENTUM
                 self.running_mean = (1 - m) * self.running_mean + m * stats["mean"]
                 self.running_var = (1 - m) * self.running_var + m * stats["var"]
             return out
@@ -122,13 +120,6 @@ class BatchNorm1d:
 
     def state_arrays(self) -> list[np.ndarray]:
         return [self.gamma.data, self.beta.data, self.running_mean, self.running_var]
-
-    def load_state_arrays(self, arrays):
-        g, b, rm, rv = arrays
-        self.gamma.data = np.asarray(g, dtype=np.float64)
-        self.beta.data = np.asarray(b, dtype=np.float64)
-        self.running_mean = np.asarray(rm, dtype=np.float64)
-        self.running_var = np.asarray(rv, dtype=np.float64)
 
 
 class Adam:

@@ -1,14 +1,16 @@
-"""The three players: class-conditional generator bank, discriminator, classifier.
+"""The three players: a generator stack, a discriminator and a classifier.
 
-Each generator in the bank serves exactly one class and its raw tanh output is
-projected into that class's per-band box (computed from the class's training
-samples) by clamping, so generated samples are contained in the class domain
-by construction. The bank stores its N generators' weights stacked as (N, …)
-arrays and runs a batch as one op per layer over its rows sorted by class, the
-mixture-of-generators layout of MGAN (Hoang et al., ICLR 2018). The
-discriminator is a strided conv stack with a sigmoid head; the classifier
-extracts features through parallel conv branches with distinct kernel sizes
-and ends in an N-way softmax.
+Every mode's generator is a stack of experts of one architecture whose weights
+are stacked as (experts, …) arrays, the mixture-of-generators layout of MGAN
+(Hoang et al., ICLR 2018). mgsgan's stack has one expert per class: its bank
+sorts a batch by class, runs each expert on its class's rows with one op per
+layer, and projects each raw tanh output into its class's per-band box
+(computed from the class's training samples) by clamping, so generated samples
+are contained in the class domain by construction. acsgan and achsgan use a
+one-expert stack fed the noise and a one-hot class code. The discriminator is
+a strided conv stack with a sigmoid head; the classifier extracts features
+through parallel conv branches with distinct kernel sizes and ends in an N-way
+softmax.
 """
 
 from __future__ import annotations
@@ -20,13 +22,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractError, DataError, ShapeError
-from .layers import BatchNorm1d, Conv1d, ConvTranspose1d, Dense
+from .layers import BatchNorm1d, Conv1d, Dense, xavier_init
 
 MODES = ("mgsgan", "acsgan", "achsgan")
 
 # The architecture is fixed. A checkpoint holds layer shapes, not these values,
 # and loading rebuilds the players from them and checks the shapes agree.
 GEN_CHANNELS = (12, 6)
+GEN_KERNEL, GEN_STRIDE, GEN_PAD = 4, 2, 1  # each transpose conv doubles the length
 DISC_CHANNELS = (8, 16)
 DISC_KERNEL = 5
 CLS_KERNELS = (3, 5, 7)
@@ -85,92 +88,91 @@ def _upsample_plan(d: int) -> tuple[int, int]:
 
 
 class Generator:
-    """dense -> reshape -> transpose-conv stack -> tanh, output length d."""
+    """A stack of generators ("experts"): dense -> reshape -> two transpose convs -> tanh.
 
-    def __init__(self, in_dim: int, d: int, rng: np.random.Generator):
+    Each of the six parameters is an (experts, …) array whose row j belongs to
+    expert j. A batch sorted into expert segments runs as one bank op per
+    layer, so every row gets the bits its own expert alone would give it. The
+    conditional generator of acsgan and achsgan is a one-expert stack.
+    """
+
+    def __init__(self, in_dim: int, d: int, rng: np.random.Generator, experts: int):
+        if experts < 1:
+            raise ContractError(f"Generator: needs at least one expert, got {experts}")
         c0, c1 = GEN_CHANNELS
         l0, l1 = _upsample_plan(d)
         self.in_dim = in_dim
         self.d = d
+        self.experts = experts
         self.c0 = c0
         self.l0 = l0
-        self.fc = Dense(in_dim, c0 * l0, rng)
-        self.up1 = ConvTranspose1d(c0, c1, 4, rng, stride=2, pad=1, output_length=l1)
-        self.up2 = ConvTranspose1d(c1, 1, 4, rng, stride=2, pad=1, output_length=d)
-        self.layers = [self.fc, self.up1, self.up2]
-
-    def parameters(self):
-        return [p for layer in self.layers for p in layer.parameters()]
-
-    def forward(self, z: ad.Tensor) -> ad.Tensor:
-        if z.ndim != 2 or z.shape[1] != self.in_dim:
-            raise ShapeError(f"Generator: expected (B, {self.in_dim}) noise, got {z.shape}")
-        h = ad.relu(self.fc.forward(z))
-        h = ad.reshape(h, (z.shape[0], self.c0, self.l0))
-        h = ad.relu(self.up1.forward(h))
-        h = self.up2.forward(h)
-        return ad.tanh(ad.reshape(h, (z.shape[0], self.d)))
-
-
-class GeneratorBank:
-    """One generator plus one domain box per class; selection is the conditioning.
-
-    The N generators' weights are stacked: each parameter is an (N, …) array
-    whose row j belongs to generator j, and `generators[j]`'s layers hold views
-    of those rows (the checkpoint reads and writes them one generator at a
-    time). A batch is sorted by class and each layer runs as one bank op over
-    the class segments, so every row gets the bits its own generator gives.
-    """
-
-    def __init__(self, generators: list[Generator], domains: list[ClassDomain],
-                 noise_dim: int):
-        if not generators or len(generators) != len(domains):
-            raise ContractError("GeneratorBank: need exactly one domain per generator")
-        self.generators = generators
-        self.domains = domains
-        self.noise_dim = noise_dim
-        self.lower = np.stack([dom.lower for dom in domains])
-        self.upper = np.stack([dom.upper for dom in domains])
-        per_gen = [g.parameters() for g in generators]
-        self.params = [ad.param(np.stack([ps[i].data for ps in per_gen]))
-                       for i in range(len(per_gen[0]))]
-        for j, ps in enumerate(per_gen):
-            for p, stacked in zip(ps, self.params, strict=True):
-                p.data = stacked.data[j]
-
-    @property
-    def class_count(self) -> int:
-        return len(self.generators)
+        # (C_in, C_out, output length) of the two transpose convs
+        self.ups = ((c0, c1, l1), (c1, 1, d))
+        k = GEN_KERNEL
+        # expert by expert, dense before the convs: the draws of separate layers
+        draws = [[xavier_init(in_dim, c0 * l0, rng)]
+                 + [xavier_init(ci * k, co * k, rng, shape=(ci, co, k)) for ci, co, _ in self.ups]
+                 for _ in range(experts)]
+        self.params = []
+        for w in map(np.stack, zip(*draws)):
+            self.params += [ad.param(w), ad.param(np.zeros((experts, w.shape[2])))]
 
     def parameters(self):
         return list(self.params)
 
-    def generate(self, z: ad.Tensor, class_id: int) -> ad.Tensor:
-        """Raw tanh output of generator `class_id`, clamped into its box."""
-        if not 0 <= class_id < self.class_count:
-            raise ContractError(f"generate: class {class_id} out of range [0, {self.class_count})")
-        return self.generate_batch(z, np.full(z.shape[0], class_id))
+    def forward(self, z: ad.Tensor) -> ad.Tensor:
+        """Every row of z through the single expert: the conditional generator."""
+        if z.ndim != 2 or z.shape[1] != self.in_dim:
+            raise ShapeError(f"Generator: expected (B, {self.in_dim}) noise, got {z.shape}")
+        if self.experts != 1:
+            raise ContractError(f"Generator.forward: needs one expert, the stack has {self.experts}")
+        return self.forward_segments(z, [0, z.shape[0]])
+
+    def forward_segments(self, z: ad.Tensor, bounds) -> ad.Tensor:
+        """Raw tanh output of rows bounds[j]:bounds[j+1] of z through expert j."""
+        b = z.shape[0]
+        fc_w, fc_b, up1_w, up1_b, up2_w, up2_b = self.params
+        (_, _, l1), (_, _, d) = self.ups
+        h = ad.relu(ad.bank_dense(z, fc_w, fc_b, bounds))
+        h = ad.reshape(h, (b, self.c0, self.l0))
+        h = ad.relu(ad.bank_convt(h, up1_w, up1_b, bounds, stride=GEN_STRIDE, pad=GEN_PAD,
+                                  output_length=l1))
+        h = ad.bank_convt(h, up2_w, up2_b, bounds, stride=GEN_STRIDE, pad=GEN_PAD,
+                          output_length=d)
+        return ad.tanh(ad.reshape(h, (b, d)))
+
+
+class GeneratorBank:
+    """A generator stack with one expert and one domain box per class.
+
+    Selection is the conditioning: a batch is sorted by class, expert j runs
+    class j's rows, and each row is clamped into its class's box and put back
+    in input order.
+    """
+
+    def __init__(self, generator: Generator, domains: list[ClassDomain]):
+        if generator.experts != len(domains):
+            raise ContractError("GeneratorBank: need exactly one domain per expert")
+        self.generator = generator
+        self.domains = domains
+        self.lower = np.stack([dom.lower for dom in domains])
+        self.upper = np.stack([dom.upper for dom in domains])
+
+    def parameters(self):
+        return self.generator.parameters()
 
     def generate_batch(self, z: ad.Tensor, classes: np.ndarray) -> ad.Tensor:
-        """Each row of z through its class's generator and box, in input order."""
+        """Each row of z through its class's expert and box, in input order."""
         classes = np.asarray(classes, dtype=np.int64)
-        n, b = self.class_count, z.shape[0]
-        if z.ndim != 2 or z.shape[1] != self.noise_dim or classes.shape != (b,):
+        n, b, width = self.generator.experts, z.shape[0], self.generator.in_dim
+        if z.ndim != 2 or z.shape[1] != width or classes.shape != (b,):
             raise ShapeError(f"generate_batch: noise {z.shape} vs classes {classes.shape}, "
-                             f"noise dim {self.noise_dim}")
+                             f"noise dim {width}")
         if b and not (0 <= classes.min() and classes.max() < n):
             raise ContractError(f"generate_batch: class ids outside [0, {n})")
         order = np.argsort(classes, kind="stable")
         bounds = np.concatenate([[0], np.cumsum(np.bincount(classes, minlength=n))])
-        fc_w, fc_b, up1_w, up1_b, up2_w, up2_b = self.params
-        g0 = self.generators[0]
-        h = ad.relu(ad.bank_dense(ad.permute_rows(z, order), fc_w, fc_b, bounds))
-        h = ad.reshape(h, (b, g0.c0, g0.l0))
-        h = ad.relu(ad.bank_convt(h, up1_w, up1_b, bounds, stride=g0.up1.stride,
-                                  pad=g0.up1.pad, output_length=g0.up1.output_length))
-        h = ad.bank_convt(h, up2_w, up2_b, bounds, stride=g0.up2.stride, pad=g0.up2.pad,
-                          output_length=g0.up2.output_length)
-        raw = ad.tanh(ad.reshape(h, (b, g0.d)))
+        raw = self.generator.forward_segments(ad.permute_rows(z, order), bounds)
         rows = classes[order]
         boxed = ad.clamp(raw, self.lower[rows], self.upper[rows])
         return ad.permute_rows(boxed, np.argsort(order))
@@ -315,18 +317,6 @@ def predict_labels(cls, samples: np.ndarray, batch: int = 256) -> np.ndarray:
     return preds
 
 
-def build_generator_bank(n_classes: int, d: int, noise_dim: int,
-                         domains: list[ClassDomain], rng: np.random.Generator) -> GeneratorBank:
-    gens = [Generator(noise_dim, d, rng) for _ in range(n_classes)]
-    return GeneratorBank(gens, domains, noise_dim)
-
-
-def build_conditional_generator(n_classes: int, d: int, noise_dim: int,
-                                rng: np.random.Generator) -> Generator:
-    """Single generator conditioned by concatenating a one-hot class code to z."""
-    return Generator(noise_dim + n_classes, d, rng)
-
-
 class Players(NamedTuple):
     """One mode's generator, discriminator and classifier."""
 
@@ -341,16 +331,11 @@ class Players(NamedTuple):
             out["c"] = self.classifier
         return out
 
-    def networks(self) -> list:
-        """Checkpoint network order: the generator(s), D, then a separate classifier."""
-        gen, *rest = self.trainable().values()
-        return (list(gen.generators) if isinstance(gen, GeneratorBank) else [gen]) + rest
-
 
 def generator_plan(mode: str, n: int, noise_dim: int) -> tuple[int, int]:
-    """(count, input width) of the generators `build_players` makes for `mode`.
+    """(experts, input width) of the generator stack `build_players` makes for `mode`.
 
-    mgsgan has one generator per class fed the noise; the other modes have one
+    mgsgan has one expert per class fed the noise; the other modes have one
     fed the noise and a one-hot class code.
     """
     return (n, noise_dim) if mode == "mgsgan" else (1, noise_dim + n)
@@ -360,16 +345,16 @@ def build_players(mode: str, n: int, d: int, noise_dim: int, domains: list[Class
                   rng: np.random.Generator) -> Players:
     """The players of `mode`, initialised from rng in the order G, D, C.
 
-    mgsgan: one generator per class plus its box; acsgan: one generator
+    mgsgan: one expert per class plus its box; acsgan: one generator
     conditioned by a one-hot class code; achsgan: the acsgan generator and a
     discriminator with N+1 outputs whose first N act as the classifier.
     """
     if mode not in MODES:
         raise ContractError(f"build_players: unknown mode {mode!r}")
+    experts, width = generator_plan(mode, n, noise_dim)
+    gen = Generator(width, d, rng, experts)
     if mode == "mgsgan":
-        gen = build_generator_bank(n, d, noise_dim, domains, rng)
-    else:
-        gen = build_conditional_generator(n, d, noise_dim, rng)
+        gen = GeneratorBank(gen, domains)
     if mode == "achsgan":
         disc = Discriminator(d, rng, n_out=n + 1)
         return Players(gen, disc, HeadClassifier(disc, n))

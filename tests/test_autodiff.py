@@ -8,7 +8,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from mgsgan import autodiff as ad
 from mgsgan.errors import ContractError, NumericError, ShapeError
-from mgsgan.layers import BatchNorm1d
+from mgsgan.layers import BATCHNORM_MOMENTUM, BatchNorm1d
 
 from conftest import fd_gradcheck, random_probe, reduce_to_scalar
 
@@ -428,7 +428,7 @@ def test_batchnorm1d_running_stats_match_mean_and_var():
         rm, rv = bn.running_mean.copy(), bn.running_var.copy()
         for x in _layouts(rng, shape):
             bn.forward(ad.const(x), train=True)
-            m = bn.momentum
+            m = BATCHNORM_MOMENTUM
             rm = (1 - m) * rm + m * np.mean(x, axis=axes)
             rv = (1 - m) * rv + m * np.var(x, axis=axes)
             _assert_same_bits(bn.running_mean, rm)

@@ -146,13 +146,6 @@ def test_class_priors_sum_to_one_random():
         assert abs(class_priors(ds).p_real.sum() - 1.0) < 1e-12
 
 
-def test_normalization_invertible_on_fit_data():
-    ds = make_synthetic(21, 2, 10, [40, 15], overlap=0.3)
-    norm = fit_normalization(ds)
-    round_trip = norm.invert(norm.apply(ds.samples))
-    np.testing.assert_allclose(round_trip, ds.samples, atol=1e-6)
-
-
 def test_normalize_pair_ranges():
     ds = make_synthetic(22, 2, 10, [60, 20], overlap=0.3)
     train_raw, test_raw = split_tttr(ds, SplitSpec(tttr=0.5, seed=0))

@@ -112,16 +112,6 @@ def test_mcnemar_agreement_translation_invariance():
     assert abs(mcnemar(a2, b2, truth2).statistic - base) < 1e-12
 
 
-def test_mcnemar_continuity_corrected_variant():
-    truth = np.zeros(40, dtype=int)
-    a = np.zeros(40, dtype=int)
-    b = np.zeros(40, dtype=int)
-    b[:15] = 1
-    a[15:20] = 1
-    res = mcnemar(a, b, truth, corrected=True)
-    assert abs(res.statistic - 9 / np.sqrt(20)) < 1e-9
-
-
 def test_confusion_matrix_from_predictions():
     truth = np.array([0, 0, 1, 1, 1])
     preds = np.array([0, 1, 1, 1, 0])

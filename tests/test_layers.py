@@ -14,27 +14,26 @@ from conftest import fd_gradcheck, random_probe, reduce_to_scalar
 
 
 def test_xavier_std_formula_exact():
-    assert abs(xavier_std(100, 100, 1.0) - 0.1) < 1e-12
-    assert abs(xavier_std(1, 1, 1.0) - 1.0) < 1e-12
+    assert abs(xavier_std(100, 100) - 0.1) < 1e-12
+    assert abs(xavier_std(1, 1) - 1.0) < 1e-12
     rng = np.random.default_rng(5)
     for _ in range(50):
         fi, fo = int(rng.integers(1, 5000)), int(rng.integers(1, 5000))
-        gain = float(rng.uniform(0.1, 3.0))
-        assert abs(xavier_std(fi, fo, gain) - gain * math.sqrt(2.0 / (fi + fo))) < 1e-12
+        assert abs(xavier_std(fi, fo) - math.sqrt(2.0 / (fi + fo))) < 1e-12
 
 
 def test_xavier_rejects_bad_fans():
     rng = np.random.default_rng(0)
     with pytest.raises(ContractError):
-        xavier_init(0, 5, 1.0, rng)
+        xavier_init(0, 5, rng)
     with pytest.raises(ContractError):
-        xavier_init(5, -1, 1.0, rng)
+        xavier_init(5, -1, rng)
 
 
 def test_xavier_monte_carlo_moments():
     rng = np.random.default_rng(99)
-    target = xavier_std(100, 100, 1.0)
-    draws = xavier_init(100, 100, 1.0, rng, shape=(10**6,))
+    target = xavier_std(100, 100)
+    draws = xavier_init(100, 100, rng, shape=(10**6,))
     assert abs(draws.mean()) < 0.01 * target
     assert abs(draws.std() - target) < 0.01 * target
 

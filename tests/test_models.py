@@ -9,9 +9,9 @@ from mgsgan import autodiff as ad
 from mgsgan.checkpoint import load_checkpoint_bytes, save_checkpoint_bytes
 from mgsgan.data import SpectralDataset
 from mgsgan.errors import ContractError, DataError, ShapeError
-from mgsgan.models import (MODES, ClassDomain, Classifier, Discriminator,
-                           Generator, build_conditional_generator,
-                           build_generator_bank, build_players, classify,
+from mgsgan.layers import ConvTranspose1d, Dense
+from mgsgan.models import (GEN_KERNEL, GEN_PAD, GEN_STRIDE, MODES, ClassDomain, Classifier,
+                           Discriminator, Generator, GeneratorBank, build_players, classify,
                            compute_class_domains, discriminate, generate, generator_plan,
                            predict_labels)
 
@@ -20,6 +20,10 @@ from conftest import fd_gradcheck, random_probe, reduce_to_scalar
 
 def _domains_for(d, n, lo=-1.0, hi=1.0):
     return [ClassDomain(j, np.full(d, lo), np.full(d, hi)) for j in range(n)]
+
+
+def _bank(d, noise, domains, rng):
+    return GeneratorBank(Generator(noise, d, rng, len(domains)), domains)
 
 
 def test_domain_single_sample_is_degenerate_box():
@@ -56,10 +60,10 @@ def test_generate_output_always_inside_box():
     d, n = 12, 3
     domains = [ClassDomain(j, np.full(d, -0.3 + 0.1 * j), np.full(d, 0.2 + 0.1 * j))
                for j in range(n)]
-    bank = build_generator_bank(n, d, 16, domains, rng)
+    bank = _bank(d, 16, domains, rng)
     for j in range(n):
         z = ad.const(rng.standard_normal((8, 16)) * 3.0)
-        out = bank.generate(z, j).data
+        out = bank.generate_batch(z, np.full(8, j)).data
         assert np.all(out >= domains[j].lower) and np.all(out <= domains[j].upper)
 
 
@@ -68,9 +72,9 @@ def test_generate_degenerate_domain_pins_output():
     d = 8
     s = rng.uniform(-0.5, 0.5, size=d)
     domains = [ClassDomain(0, s.copy(), s.copy())]
-    bank = build_generator_bank(1, d, 10, domains, rng)
+    bank = _bank(d, 10, domains, rng)
     for _ in range(3):
-        out = bank.generate(ad.const(rng.standard_normal((4, 10))), 0).data
+        out = bank.generate_batch(ad.const(rng.standard_normal((4, 10))), np.zeros(4, int)).data
         np.testing.assert_array_equal(out, np.tile(s, (4, 1)))
 
 
@@ -80,7 +84,7 @@ def test_generate_batch_minority_containment_under_overlap():
     d = 10
     minority = ClassDomain(1, np.full(d, -0.1), np.full(d, 0.15))
     majority = ClassDomain(0, np.full(d, -0.8), np.full(d, 0.8))
-    bank = build_generator_bank(2, d, 12, [majority, minority], rng)
+    bank = _bank(d, 12, [majority, minority], rng)
     z = ad.const(rng.standard_normal((64, 12)))
     out = bank.generate_batch(z, np.ones(64, dtype=int)).data
     assert int(minority.contains(out).sum()) == 64
@@ -107,52 +111,94 @@ def _scatter_rows(x, perm, n):
     return ad._make(out, (x,), vjp, "scatter_rows")
 
 
+def _expert_layers(gen, j):
+    """Expert j of a generator stack as Dense and ConvTranspose1d layers holding its row."""
+    rng = np.random.default_rng(0)
+    (c0, c1, l1), (_, c2, d) = gen.ups
+    up = dict(stride=GEN_STRIDE, pad=GEN_PAD)
+    layers = [Dense(gen.in_dim, c0 * gen.l0, rng),
+              ConvTranspose1d(c0, c1, GEN_KERNEL, rng, output_length=l1, **up),
+              ConvTranspose1d(c1, c2, GEN_KERNEL, rng, output_length=d, **up)]
+    params = [p for layer in layers for p in layer.parameters()]
+    for p, stacked in zip(params, gen.parameters(), strict=True):
+        p.data = stacked.data[j].copy()
+    return layers, params
+
+
+def _layers_forward(gen, layers, z):
+    fc, up1, up2 = layers
+    b = z.shape[0]
+    h = ad.reshape(ad.relu(fc.forward(z)), (b, gen.c0, gen.l0))
+    h = up2.forward(ad.relu(up1.forward(h)))
+    return ad.tanh(ad.reshape(h, (b, gen.d)))
+
+
+@pytest.mark.parametrize("noise,d,batch", [(7, 13, 5), (116, 200, 64)])
+def test_one_expert_generator_gives_the_bits_of_its_layers(noise, d, batch):
+    # the conditional generator runs through the bank ops: the forward output and
+    # all six gradients are those of Dense -> ConvTranspose1d x2; the second shape
+    # is the wide fingerprint's acsgan generator (100 noise + 16 classes, 200 bands)
+    rng = np.random.default_rng(22)
+    gen = Generator(noise, d, rng, 1)
+    layers, params = _expert_layers(gen, 0)
+    z = ad.const(rng.standard_normal((batch, noise)))
+    probe = random_probe(rng, (batch, d))
+    out = gen.forward(z)
+    ad.backward(reduce_to_scalar(out, probe))
+    ref = _layers_forward(gen, layers, z)
+    ad.backward(reduce_to_scalar(ref, probe))
+    assert out.data.tobytes() == ref.data.tobytes()
+    for stacked, p in zip(gen.parameters(), params, strict=True):
+        assert stacked.grad[0].tobytes() == p.grad.tobytes()
+
+
 def _per_class_loop(bank, z, classes):
-    """The bank's batch as one generator call per class, reassembled in input order."""
-    pieces, order = [], []
-    for j, (gen, dom) in enumerate(zip(bank.generators, bank.domains)):
+    """The bank's batch through per-class layer copies, reassembled in input order."""
+    pieces, order, experts = [], [], []
+    for j, dom in enumerate(bank.domains):
+        layers, params = _expert_layers(bank.generator, j)
+        experts.append(params)
         idx = np.flatnonzero(classes == j)
         if idx.size:
-            pieces.append(ad.clamp(gen.forward(_take_rows(z, idx)), dom.lower, dom.upper))
+            raw = _layers_forward(bank.generator, layers, _take_rows(z, idx))
+            pieces.append(ad.clamp(raw, dom.lower, dom.upper))
             order.append(idx)
-    return _scatter_rows(ad.concat(pieces, axis=0), np.concatenate(order), z.shape[0])
+    out = _scatter_rows(ad.concat(pieces, axis=0), np.concatenate(order), z.shape[0])
+    return out, experts
 
 
 def test_generate_batch_preserves_order():
     # the stacked bank gives the per-class loop's bits, forward and every gradient
     rng = np.random.default_rng(3)
     d, noise = 13, 6
-    bank = build_generator_bank(4, d, noise, _domains_for(d, 4, -0.4, 0.4), rng)
+    bank = _bank(d, noise, _domains_for(d, 4, -0.4, 0.4), rng)
     cases = [np.array([2, 0, 1, 1, 0, 2, 0, 1, 2]),  # class 3 absent
              np.array([3, 0, 0, 2, 0, 2, 0, 2]),  # class 1 absent, class 3 one row
              np.full(7, 1)]  # every row in one class
     for classes in cases:
         z = ad.const(rng.standard_normal((classes.size, noise)))
         probe = random_probe(rng, (classes.size, d))
-        leaves = bank.parameters() + [p for g in bank.generators for p in g.parameters()]
-        for p in leaves:
+        for p in bank.parameters():
             p.grad = None
         batched = bank.generate_batch(z, classes)
         ad.backward(reduce_to_scalar(batched, probe))
-        looped = _per_class_loop(bank, z, classes)
+        looped, experts = _per_class_loop(bank, z, classes)
         ad.backward(reduce_to_scalar(looped, probe))
         assert batched.data.tobytes() == looped.data.tobytes()
         for i, stacked in enumerate(bank.parameters()):
-            for j, gen in enumerate(bank.generators):
-                want = gen.parameters()[i].grad
+            for j, params in enumerate(experts):
+                want = params[i].grad
                 if want is None:  # class j absent from the batch
                     want = np.zeros(stacked.shape[1:])
                 assert stacked.grad[j].tobytes() == want.tobytes()
-        for i, (zi, ci) in enumerate(zip(z.data, classes)):
-            single = bank.generate(ad.const(zi[None, :]), int(ci)).data[0]
+        for i, zi in enumerate(z.data):
+            single = bank.generate_batch(ad.const(zi[None, :]), classes[i : i + 1]).data[0]
             np.testing.assert_allclose(batched.data[i], single, atol=1e-12)
 
 
 def test_generate_invalid_class_rejected():
     rng = np.random.default_rng(4)
-    bank = build_generator_bank(2, 8, 6, _domains_for(8, 2), rng)
-    with pytest.raises(ContractError):
-        bank.generate(ad.const(np.zeros((1, 6))), 2)
+    bank = _bank(8, 6, _domains_for(8, 2), rng)
     for bad in (2, -1):
         with pytest.raises(ContractError):
             bank.generate_batch(ad.const(np.zeros((2, 6))), np.array([0, bad]))
@@ -213,12 +259,12 @@ def test_generator_differentiable_through_projection():
     d = 8
     # box wide enough that all outputs sit strictly inside (clamp inactive)
     domains = [ClassDomain(0, np.full(d, -2.0), np.full(d, 2.0))]
-    bank = build_generator_bank(1, d, 6, domains, rng)
+    bank = _bank(d, 6, domains, rng)
     disc = Discriminator(d, rng)
     z = ad.const(rng.standard_normal((2, 6)))
 
     def loss():
-        fake = bank.generate(z, 0)
+        fake = bank.generate_batch(z, np.zeros(2, int))
         return ad.mean_(disc.prob(fake, train=False))
 
     leaves = bank.parameters()
@@ -227,7 +273,7 @@ def test_generator_differentiable_through_projection():
 
 def test_conditional_generator_input_dim():
     rng = np.random.default_rng(13)
-    gen = build_conditional_generator(4, 16, 10, rng)
+    gen = build_players("acsgan", 4, 16, 10, _domains_for(16, 4), rng).generator
     assert gen.in_dim == 14
     out = gen.forward(ad.const(rng.standard_normal((3, 14))))
     assert out.shape == (3, 16)
@@ -235,13 +281,13 @@ def test_conditional_generator_input_dim():
 
 def test_generate_matches_bank_call_and_onehot_input():
     rng = np.random.default_rng(17)
-    bank = build_generator_bank(3, 8, 6, _domains_for(8, 3, -0.4, 0.4), rng)
-    cond = build_conditional_generator(3, 8, 6, rng)
+    bank = _bank(8, 6, _domains_for(8, 3, -0.4, 0.4), rng)
+    cond = Generator(9, 8, rng, 1)
     z = rng.standard_normal((5, 6))
     for j in range(3):
         classes = np.full(5, j)
         assert generate(bank, z, classes).data.tobytes() == \
-            bank.generate(ad.const(z), j).data.tobytes()
+            bank.generate_batch(ad.const(z), classes).data.tobytes()
         onehot = np.zeros((5, 3))
         onehot[:, j] = 1.0
         assert generate(cond, z, classes).data.tobytes() == \
@@ -256,7 +302,7 @@ def test_build_players_rejects_unknown_mode():
 def test_generator_exact_output_length_odd_bands():
     rng = np.random.default_rng(14)
     for d in (5, 7, 64, 103, 200):
-        gen = Generator(6, d, rng)
+        gen = Generator(6, d, rng, 1)
         assert gen.forward(ad.const(rng.standard_normal((2, 6)))).shape == (2, d)
 
 
@@ -272,7 +318,7 @@ def test_predict_labels_matches_classify():
 def test_eval_paths_record_no_tape_and_match_taped_bits(made_nodes):
     rng = np.random.default_rng(20)
     cls, disc = Classifier(12, 3, rng), Discriminator(12, rng)
-    bank = build_generator_bank(3, 12, 6, _domains_for(12, 3), rng)
+    bank = _bank(12, 6, _domains_for(12, 3), rng)
     xs = rng.standard_normal((7, 12))
     z = rng.standard_normal((5, 6))
     classes = np.array([2, 0, 2, 1, 0])
@@ -353,10 +399,22 @@ def test_checkpoint_magic_and_truncation_errors(mode, n, d, data):
 def test_generator_plan_is_what_build_players_makes(mode):
     # the checkpoint reader checks a header against this plan before building
     rng = np.random.default_rng(20)
-    players = build_players(mode, 3, 12, 8, _trained_like_bundle(mode, rng)[3], rng)
-    count, width = generator_plan(mode, 3, 8)
-    gens = [net for net in players.networks() if isinstance(net, Generator)]
-    assert [gen.in_dim for gen in gens] == [width] * count
+    gen = build_players(mode, 3, 12, 8, _trained_like_bundle(mode, rng)[3], rng).generator
+    stack = gen.generator if mode == "mgsgan" else gen
+    assert (stack.experts, stack.in_dim) == generator_plan(mode, 3, 8)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_checkpoint_writes_rebound_generator_parameters(mode):
+    # a parameter whose .data is rebound (as the classifier worker's pull does to
+    # C) must be saved with its new values, never through a stale view of the old
+    rng = np.random.default_rng(21)
+    gen, disc, cls, domains, noise = _trained_like_bundle(mode, rng)
+    for p in gen.parameters():
+        p.data = p.data + 0.5
+    ck = load_checkpoint_bytes(save_checkpoint_bytes(mode, gen, disc, cls, domains, noise))
+    for saved, p in zip(ck.generator.parameters(), gen.parameters(), strict=True):
+        np.testing.assert_array_equal(saved.data, p.data.astype(np.float32).astype(np.float64))
 
 
 def test_checkpoint_preserves_batchnorm_running_stats():

@@ -13,7 +13,7 @@ from mgsgan.data import SpectralDataset, class_priors
 from mgsgan.errors import ContractError, NumericError, TrainingAborted
 from mgsgan.layers import Adam
 from mgsgan.losses import loss_c, loss_d, loss_g
-from mgsgan.models import (Classifier, Discriminator, build_generator_bank,
+from mgsgan.models import (MODES, Classifier, Discriminator, Generator, GeneratorBank,
                            compute_class_domains)
 from mgsgan.training import TrainConfig, train
 from mgsgan.checkpoint import load_checkpoint_bytes
@@ -38,7 +38,7 @@ def test_zero_epochs_returns_initialized_networks_and_empty_log():
     res = train(ds, TrainConfig(epochs=0, batch=8, seed=3))
     assert res.runlog.records == []
     assert res.discriminator.d == 4
-    assert len(res.generator.generators) == 2
+    assert res.generator.generator.experts == 2
 
 
 def test_lr_zero_leaves_parameters_bit_identical():
@@ -51,6 +51,30 @@ def test_lr_zero_leaves_parameters_bit_identical():
                  (init.discriminator, stepped.discriminator),
                  (init.classifier, stepped.classifier)]:
         assert _params_bytes(a) == _params_bytes(b)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_generator_calls_per_batch(mode, monkeypatch):
+    # The benchmark marks each batch's start by wrapping these two methods with
+    # exactly these arguments: mgsgan calls the bank once per batch and never
+    # Generator.forward, the other modes call Generator.forward(gen, z) once.
+    calls = []
+    generate_batch, forward = GeneratorBank.generate_batch, Generator.forward
+
+    def counted_generate_batch(bank, z, classes):
+        calls.append("generate_batch")
+        return generate_batch(bank, z, classes)
+
+    def counted_forward(gen, z):
+        calls.append("forward")
+        return forward(gen, z)
+
+    monkeypatch.setattr(GeneratorBank, "generate_batch", counted_generate_batch)
+    monkeypatch.setattr(Generator, "forward", counted_forward)
+    ds = _toy_ds()
+    train(ds, TrainConfig(epochs=2, batch=8, seed=3, mode=mode))
+    want = "generate_batch" if mode == "mgsgan" else "forward"
+    assert calls == [want] * (2 * (ds.size // 8))
 
 
 def test_batch_larger_than_dataset_rejected():
@@ -66,7 +90,7 @@ def test_frozen_player_contract_each_step():
     ds = _toy_ds(n_per=12, d=8)
     priors = class_priors(ds)
     domains = compute_class_domains(ds, 0.05)
-    bank = build_generator_bank(2, 8, 6, domains, rng)
+    bank = GeneratorBank(Generator(6, 8, rng, 2), domains)
     disc = Discriminator(8, rng)
     cls = Classifier(8, 2, rng)
     adam = {"g": Adam(bank.parameters(), lr=0.01),
