@@ -504,7 +504,7 @@ def bank_dense(x: Tensor, w: Tensor, bias: Tensor, bounds) -> Tensor:
         # The bank's input is the constant noise, whose gradient nobody reads.
         gx = np.empty(x.shape) if x.requires_grad else None
         gw = np.empty(w.shape)
-        gw[np.setdiff1d(np.arange(w.shape[0]), [j for j, _, _ in segs])] = 0.0
+        gw[np.bincount(owner, minlength=w.shape[0]) == 0] = 0.0  # the experts with no rows
         gb = np.zeros(bias.shape)
         for j, s, e in segs:
             if gx is not None:

@@ -65,6 +65,13 @@ def _write_manifest(path: Path, command: str, settings: dict, inputs: dict, outp
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _seed(text: str) -> int:
+    """argparse type of a seed flag: numpy's generators need an integer >= 0."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return int(text)
+
+
 def _parse_int_list(text: str, flag: str) -> list[int]:
     try:
         return [int(v) for v in text.split(",") if v != ""]
@@ -94,7 +101,7 @@ def build_parser() -> _Parser:
     p.add_argument("--classes", type=int, required=True)
     p.add_argument("--bands", type=int, required=True)
     p.add_argument("--sizes", type=str, required=True, help="per-class sample counts, comma-separated")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--overlap", type=float, default=0.0)
     p.add_argument("--out", type=str, required=True, help="output path (.csv or .bin)")
 
@@ -103,7 +110,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", type=str, required=True, help="output directory")
     p.add_argument("--config", type=str, default=None, help="optional key=value config file")
     p.add_argument("--tttr", type=float, default=None)
-    p.add_argument("--split-seed", type=int, default=None)
+    p.add_argument("--split-seed", type=_seed, default=None)
     p.add_argument("--seeds", type=str, default=None, help="run seeds, comma-separated")
     for f in _config_fields():
         p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=None,
@@ -114,7 +121,7 @@ def build_parser() -> _Parser:
     p.add_argument("--run-dir", type=str, default=None, help="directory with seed_*/checkpoint.mgsg")
     p.add_argument("--checkpoint", type=str, default=None, help="single checkpoint file")
     p.add_argument("--tttr", type=float, required=True)
-    p.add_argument("--split-seed", type=int, default=0)
+    p.add_argument("--split-seed", type=_seed, default=0)
     p.add_argument("--compare", type=str, default=None,
                    help="second run dir or checkpoint for a McNemar comparison")
     p.add_argument("--out", type=str, required=True, help="report path prefix")
@@ -123,11 +130,11 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint", type=str, required=True)
     p.add_argument("--data", type=str, required=True)
     p.add_argument("--tttr", type=float, required=True)
-    p.add_argument("--split-seed", type=int, default=0)
+    p.add_argument("--split-seed", type=_seed, default=0)
     p.add_argument("--samples", type=int, default=64, help="generated draws per class")
     p.add_argument("--classes", type=str, default="all",
                    help="class ids to export, comma-separated (default: all)")
-    p.add_argument("--noise-seed", type=int, default=0)
+    p.add_argument("--noise-seed", type=_seed, default=0)
     p.add_argument("--out", type=str, required=True, help="output CSV path")
 
     return parser
@@ -184,16 +191,16 @@ def _resolve_train_settings(args) -> dict:
 
 
 def _prepared_split(data_path, tttr: float, split_seed: int):
-    ds = load_dataset(data_path)
-    train_raw, test_raw = split_tttr(ds, SplitSpec(tttr=tttr, seed=split_seed))
+    spec = SplitSpec(tttr=tttr, seed=split_seed)  # checked before the data is read
+    train_raw, test_raw = split_tttr(load_dataset(data_path), spec)
     return normalize_pair(train_raw, test_raw)
 
 
 def _cmd_train(args) -> int:
     settings = _resolve_train_settings(args)
     seeds = _parse_int_list(settings["seeds"], "--seeds")
-    if not seeds:
-        raise _UsageError(f"--seeds: expected at least one seed, got {settings['seeds']!r}")
+    if not seeds or min(seeds) < 0:
+        raise _UsageError(f"--seeds: expected one or more seeds >= 0, got {settings['seeds']!r}")
     fields = {f.name: settings[f.name] for f in _config_fields()}
     configs = [TrainConfig(**fields, seed=seed) for seed in seeds]
     train_n, _test_n = _prepared_split(args.data, settings["tttr"], settings["split_seed"])

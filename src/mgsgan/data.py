@@ -94,6 +94,8 @@ class SplitSpec:
     def __post_init__(self):
         if not 0.0 < self.tttr < 1.0:
             raise ContractError(f"SplitSpec: tttr must lie in (0, 1), got {self.tttr}")
+        if self.seed < 0:
+            raise ContractError(f"SplitSpec: seed must be >= 0, got {self.seed}")
 
 
 def split_tttr(ds: SpectralDataset, spec: SplitSpec) -> tuple[SpectralDataset, SpectralDataset]:
@@ -268,6 +270,8 @@ def make_synthetic(seed: int, n_classes: int, d: int, sizes,
     templates are resampled (deterministically) until all pairwise distances
     are at least 5x the noise standard deviation.
     """
+    if seed < 0:
+        raise ContractError(f"make_synthetic: seed must be >= 0, got {seed}")
     sizes = [int(s) for s in sizes]
     if len(sizes) != n_classes:
         raise ContractError(f"make_synthetic: got {len(sizes)} sizes for {n_classes} classes")

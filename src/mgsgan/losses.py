@@ -2,10 +2,12 @@
 
 The adversarial pair works on per-sample probabilities: each sample's log term
 is multiplied by the prior of its class and the weighted terms are averaged
-over the batch. Probabilities are clamped to [PROB_EPS, 1 - PROB_EPS] before
-any log so a saturated player yields a large but finite loss; a run's
-`ClampLog`, passed to the losses, records whether a clamp actually fired, and
-the run logs that once.
+over the batch (`_log_likelihood`). The losses read the discriminator through
+`heads`; where it has a class head, `loss_d` and `loss_g` add that head's
+class terms, so the same two losses serve every mode. Probabilities are
+clamped to [PROB_EPS, 1 - PROB_EPS] before any log so a saturated player
+yields a large but finite loss; a run's `ClampLog`, passed to the losses,
+records whether a clamp actually fired, and the run logs that once.
 
 The oracle half of the module works on plain discrete distributions and gives
 closed-form references for the optimal discriminator and the value of the
@@ -102,35 +104,49 @@ def _check_batch(x: ad.Tensor, labels: np.ndarray, n_classes: int, who: str) -> 
     return labels
 
 
+def _log_likelihood(w: np.ndarray, p: ad.Tensor, clamps: ClampLog | None) -> ad.Tensor:
+    """Batch mean of w * log(p) for per-sample weights w, p clamped by `_safe_log`."""
+    return ad.mean_(ad.mul(ad.const(w), _safe_log(p, clamps)))
+
+
 def loss_d(disc, real_x: ad.Tensor, real_y: np.ndarray,
            fake_x: ad.Tensor, fake_c: np.ndarray,
            priors: ClassPriors, train: bool = True,
            stats: dict | None = None, clamps: ClampLog | None = None) -> ad.Tensor:
-    """Discriminator loss: negated prior-weighted real/fake log-likelihood."""
+    """Discriminator loss: negated prior-weighted real/fake log-likelihood.
+
+    A class head adds the p_cls-weighted log-likelihood of the real labels and
+    the generated classes; `stats` then gets that term, negated, as "loss_c".
+    """
     real_y = _check_batch(real_x, real_y, priors.class_count, "loss_d")
     fake_c = _check_batch(fake_x, fake_c, priors.class_count, "loss_d")
-    w_real = ad.const(priors.p_real[real_y])
-    w_fake = ad.const(priors.p_gen[fake_c])
-    d_real = disc.prob(real_x, train)
-    d_fake = disc.prob(fake_x, train)
+    d_real, c_real = disc.heads(real_x, train)
+    d_fake, c_fake = disc.heads(fake_x, train)
     if stats is not None:
         stats["d_real_mean"] = float(d_real.data.mean())
         stats["d_fake_mean"] = float(d_fake.data.mean())
-    term_real = ad.mean_(ad.mul(w_real, _safe_log(d_real, clamps)))
-    term_fake = ad.mean_(ad.mul(w_fake, _safe_log(1.0 - d_fake, clamps)))
-    return -(term_real + term_fake)
+    total = (_log_likelihood(priors.p_real[real_y], d_real, clamps)
+             + _log_likelihood(priors.p_gen[fake_c], 1.0 - d_fake, clamps))
+    if c_real is not None:
+        ce_real = _log_likelihood(priors.p_cls[real_y], ad.gather(c_real, real_y), clamps)
+        ce_fake = _log_likelihood(priors.p_cls[fake_c], ad.gather(c_fake, fake_c), clamps)
+        total = total + ce_real + ce_fake
+        if stats is not None:
+            stats["loss_c"] = -(ce_real.item() + ce_fake.item())
+    return -total
 
 
 def loss_g(disc, fake_x: ad.Tensor, fake_c: np.ndarray,
            priors: ClassPriors, saturating: bool = False, train: bool = True,
            clamps: ClampLog | None = None) -> ad.Tensor:
-    """Generator loss; non-saturating -log D(fake) by default."""
+    """Generator loss; non-saturating -log D(fake) by default, minus a class head's term."""
     fake_c = _check_batch(fake_x, fake_c, priors.class_count, "loss_g")
-    w = ad.const(priors.p_gen[fake_c])
-    d_fake = disc.prob(fake_x, train)
-    if saturating:
-        return ad.mean_(ad.mul(w, _safe_log(1.0 - d_fake, clamps)))
-    return -ad.mean_(ad.mul(w, _safe_log(d_fake, clamps)))
+    d_fake, c_fake = disc.heads(fake_x, train)
+    adv = _log_likelihood(priors.p_gen[fake_c], 1.0 - d_fake if saturating else d_fake, clamps)
+    if c_fake is None:
+        return adv if saturating else -adv
+    ce = _log_likelihood(priors.p_cls[fake_c], ad.gather(c_fake, fake_c), clamps)
+    return adv - ce if saturating else -(adv + ce)
 
 
 def loss_c(cls, real_x: ad.Tensor, real_y: np.ndarray,
@@ -139,14 +155,12 @@ def loss_c(cls, real_x: ad.Tensor, real_y: np.ndarray,
            clamps: ClampLog | None = None) -> ad.Tensor:
     """Classifier loss: prior-weighted cross-entropy on real plus generated."""
     real_y = _check_batch(real_x, real_y, priors.class_count, "loss_c")
-    w_real = ad.const(priors.p_cls[real_y])
     p_real = ad.gather(cls.probs(real_x, train), real_y)
-    total = -ad.mean_(ad.mul(w_real, _safe_log(p_real, clamps)))
+    total = -_log_likelihood(priors.p_cls[real_y], p_real, clamps)
     if fake_x is not None:
         fake_c = _check_batch(fake_x, fake_c, priors.class_count, "loss_c")
-        w_fake = ad.const(priors.p_cls[fake_c])
         p_fake = ad.gather(cls.probs(fake_x, train), fake_c)
-        total = total - ad.mean_(ad.mul(w_fake, _safe_log(p_fake, clamps)))
+        total = total - _log_likelihood(priors.p_cls[fake_c], p_fake, clamps)
     return total
 
 

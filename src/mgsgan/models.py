@@ -8,9 +8,10 @@ layer, and projects each raw tanh output into its class's per-band box
 (computed from the class's training samples) by clamping, so generated samples
 are contained in the class domain by construction. acsgan and achsgan use a
 one-expert stack fed the noise and a one-hot class code. The discriminator is
-a strided conv stack with a sigmoid head; the classifier extracts features
-through parallel conv branches with distinct kernel sizes and ends in an N-way
-softmax.
+a strided conv stack with a sigmoid head; achsgan's has N+1 outputs, the first
+N a softmax class head that serves as its classifier. The classifier of the
+other modes extracts features through parallel conv branches with distinct
+kernel sizes and ends in an N-way softmax.
 """
 
 from __future__ import annotations
@@ -142,6 +143,14 @@ class Generator:
         return ad.tanh(ad.reshape(h, (b, d)))
 
 
+def _class_ids(classes, n: int, who: str) -> np.ndarray:
+    """`classes` as int64 class ids; ContractError if one lies outside [0, n)."""
+    classes = np.asarray(classes, dtype=np.int64)
+    if classes.size and not (0 <= classes.min() and classes.max() < n):
+        raise ContractError(f"{who}: class ids outside [0, {n})")
+    return classes
+
+
 class GeneratorBank:
     """A generator stack with one expert and one domain box per class.
 
@@ -163,13 +172,11 @@ class GeneratorBank:
 
     def generate_batch(self, z: ad.Tensor, classes: np.ndarray) -> ad.Tensor:
         """Each row of z through its class's expert and box, in input order."""
-        classes = np.asarray(classes, dtype=np.int64)
         n, b, width = self.generator.experts, z.shape[0], self.generator.in_dim
+        classes = _class_ids(classes, n, "generate_batch")
         if z.ndim != 2 or z.shape[1] != width or classes.shape != (b,):
             raise ShapeError(f"generate_batch: noise {z.shape} vs classes {classes.shape}, "
                              f"noise dim {width}")
-        if b and not (0 <= classes.min() and classes.max() < n):
-            raise ContractError(f"generate_batch: class ids outside [0, {n})")
         order = np.argsort(classes, kind="stable")
         bounds = np.concatenate([[0], np.cumsum(np.bincount(classes, minlength=n))])
         raw = self.generator.forward_segments(ad.permute_rows(z, order), bounds)
@@ -207,11 +214,19 @@ class Discriminator:
         h = ad.reshape(h, (x.shape[0], self.feat))
         return self.head.forward(h)
 
+    def heads(self, x: ad.Tensor, train: bool) -> tuple[ad.Tensor, ad.Tensor | None]:
+        """One forward pass: P(real) per sample, shape (B,), and the class head's
+        (B, N) softmax over the first N of N+1 outputs, or None when n_out == 1."""
+        logits = self.logits(x, train)
+        if self.n_out == 1:
+            return ad.sigmoid(ad.reshape(logits, (x.shape[0],))), None
+        n = self.n_out - 1
+        adv = ad.sigmoid(ad.reshape(_take_cols(logits, np.array([n])), (x.shape[0],)))
+        return adv, ad.softmax(_take_cols(logits, np.arange(n)), axis=1)
+
     def prob(self, x: ad.Tensor, train: bool) -> ad.Tensor:
-        """P(real) per sample, shape (B,). Only valid for n_out == 1."""
-        if self.n_out != 1:
-            raise ContractError("prob: adversarial head needs n_out == 1")
-        return ad.sigmoid(ad.reshape(self.logits(x, train), (x.shape[0],)))
+        """P(real) per sample, shape (B,)."""
+        return self.heads(x, train)[0]
 
 
 def discriminate(disc: Discriminator, x: np.ndarray) -> float:
@@ -289,9 +304,7 @@ class HeadClassifier:
         return self.disc.parameters()
 
     def probs(self, x: ad.Tensor, train: bool) -> ad.Tensor:
-        logits = self.disc.logits(x, train)
-        cls_logits = _take_cols(logits, np.arange(self.n_classes))
-        return ad.softmax(cls_logits, axis=1)
+        return self.disc.heads(x, train)[1]
 
 
 def _take_cols(x: ad.Tensor, cols: np.ndarray) -> ad.Tensor:
@@ -370,5 +383,6 @@ def generate(gen: GeneratorBank | Generator, z: np.ndarray, classes: np.ndarray)
     """
     if isinstance(gen, GeneratorBank):
         return gen.generate_batch(ad.const(z), classes)
-    onehot = np.eye(gen.in_dim - z.shape[1])[classes]
+    n = gen.in_dim - z.shape[1]
+    onehot = np.eye(n)[_class_ids(classes, n, "generate")]
     return gen.forward(ad.const(np.concatenate([z, onehot], axis=1)))

@@ -1,13 +1,17 @@
 """End-to-end training loop: per batch, one D step, one C step, one G step.
 
+Every mode runs the same D and G updates (`_update`); the mode only decides
+which players `build_players` makes. A class head on the discriminator is
+trained through `loss_d` and `loss_g`, with no C step of its own.
+
 Each update holds the other players fixed in one way only: `_Freezer` sets
 `requires_grad` False on their parameters, which makes them constants to the
 engine, so no gradient reaches them and their batch norms keep their running
 statistics. The fake batch fed to the D and C updates is detached from the
 generator graph. The C step reads only real rows and that detached batch, so
-in mgsgan and acsgan it runs in a worker process that owns the classifier,
-one batch behind the parent: C(b) is sent as soon as batch b is generated,
-and C(b-1)'s reply is read only then, before D(b); the last batch's reply is
+a separate classifier is updated in a worker process that owns it, one batch
+behind the parent: C(b) is sent as soon as batch b is generated, and
+C(b-1)'s reply is read only then, before D(b); the last batch's reply is
 read at epoch end. Its results are the same bits as in the order D, C, G, and
 an error is reported at the batch of the step that raised it, in that order:
 an error of D(b) wins, then C(b)'s, then G(b)'s or one in generating batch
@@ -37,13 +41,13 @@ import numpy as np
 
 from . import autodiff as ad
 from . import blas
-from .checkpoint import save_checkpoint_bytes
+from .checkpoint import _layer_record, save_checkpoint_bytes
 from .data import SpectralDataset, class_priors
 from .errors import ContractError, NumericError, TrainingAborted
-from .layers import Adam, BatchNorm1d
-from .losses import ClampLog, ClassPriors, _safe_log, loss_c, loss_d, loss_g
-from .models import (MODES, Classifier, Discriminator, HeadClassifier, _take_cols,
-                     build_players, compute_class_domains, generate)
+from .layers import Adam
+from .losses import ClampLog, ClassPriors, loss_c, loss_d, loss_g
+from .models import (MODES, Classifier, Discriminator, HeadClassifier, build_players,
+                     compute_class_domains, generate)
 
 NOISE_DISTS = ("normal", "normal-shifted", "uniform")
 PRIOR_MODES = ("empirical", "uniform")
@@ -79,9 +83,9 @@ class TrainConfig:
             value = getattr(self, name)
             if not 0 <= value < 1:  # also rejects nan
                 raise ContractError(f"TrainConfig: {name} must lie in [0, 1), got {value}")
-        if self.checkpoint_interval < 0:
-            raise ContractError(f"TrainConfig: checkpoint_interval must be >= 0, "
-                                f"got {self.checkpoint_interval}")
+        for name in ("seed", "checkpoint_interval"):
+            if getattr(self, name) < 0:
+                raise ContractError(f"TrainConfig: {name} must be >= 0, got {getattr(self, name)}")
         if self.mode not in MODES:
             raise ContractError(f"TrainConfig: unknown mode {self.mode!r}")
         if self.prior_mode not in PRIOR_MODES:
@@ -301,12 +305,10 @@ def _aborts_at(epoch, batch, last_good, worker, clamps):
 
 def _train_batch(config, players, adams, priors, train_ds, idx, z, classes,
                  worker, clamps) -> dict:
-    disc = players["d"]
     real_x = ad.const(train_ds.samples[idx])
     real_y = train_ds.labels[idx]
-    adam_d, adam_g = adams["d"], adams["g"]
-    # In mgsgan and acsgan C(b) goes to the worker as soon as batch b exists, and
-    # only then is C(b-1)'s reply read, so the worker never waits for this process.
+    # With a worker, C(b) goes to it as soon as batch b exists, and only then is
+    # C(b-1)'s reply read, so the worker never waits for this process.
     # C(b-1)'s error wins over one in generating batch b. The loss_c returned is
     # C(b-1)'s and `train` adds the epoch's last, so the sum keeps batch order.
     previous = worker is not None and worker.sent > worker.answered
@@ -316,52 +318,47 @@ def _train_batch(config, players, adams, priors, train_ds, idx, z, classes,
             worker.submit(idx, fake.data, classes)
     finally:
         lc_previous = worker.result() if previous else 0.0
-    fake_det = fake.detach()
-    stats = {"fake_values": fake.data}
-
-    if worker is None:
-        return _achsgan_steps(config, players, adam_d, adam_g, priors,
-                              real_x, real_y, fake, fake_det, classes, stats, clamps)
 
     # If D(b) fails, C(b)'s reply is never read; the game's order is D, C, G, so
     # C(b)'s error wins over G(b)'s.
     aux = {}
-    with _Freezer(players, "d"):
-        adam_d.zero_grad()
-        ld = loss_d(disc, real_x, real_y, fake_det, classes, priors, train=True, stats=aux,
-                    clamps=clamps)
-        ad.backward(ld)
-        adam_d.step()
+    ld = _update(players, "d", adams["d"], lambda: loss_d(
+        players["d"], real_x, real_y, fake.detach(), classes, priors, train=True, stats=aux,
+        clamps=clamps))
     try:
-        with _Freezer(players, "g"):
-            adam_g.zero_grad()
-            lg = loss_g(disc, fake, classes, priors,
-                        saturating=config.gen_loss == "saturating", train=True, clamps=clamps)
-            ad.backward(lg)
-            adam_g.step()
+        lg = _update(players, "g", adams["g"], lambda: loss_g(
+            players["d"], fake, classes, priors, saturating=config.gen_loss == "saturating",
+            train=True, clamps=clamps))
     except Exception:
-        worker.result()  # C(b)'s error, if any, replaces G(b)'s
+        if worker is not None:
+            worker.result()  # C(b)'s error, if any, replaces G(b)'s
         raise
 
-    stats.update(loss_d=ld.item(), loss_c=lc_previous, loss_g=lg.item(),
-                 d_real=aux["d_real_mean"], d_fake=aux["d_fake_mean"])
-    return stats
+    # A class head on D reports its own loss_c; otherwise the worker's C step does.
+    return {"fake_values": fake.data, "loss_d": ld.item(), "loss_g": lg.item(),
+            "loss_c": aux.get("loss_c", lc_previous),
+            "d_real": aux["d_real_mean"], "d_fake": aux["d_fake_mean"]}
 
 
-def _classifier_state(cls) -> tuple[list, list]:
-    """The classifier's parameter arrays and its batch norms' running statistics."""
-    bns = [layer for layer in cls.layers if isinstance(layer, BatchNorm1d)]
-    return ([p.data for p in cls.parameters()],
-            [(bn.running_mean, bn.running_var) for bn in bns])
+def _update(players, name, adam, loss_fn) -> ad.Tensor:
+    """One optimizer step of player `name` on loss_fn(), the others held fixed."""
+    with _Freezer(players, name):
+        adam.zero_grad()
+        loss = loss_fn()
+        ad.backward(loss)
+        adam.step()
+    return loss
+
+
+def _classifier_state(cls) -> list:
+    """The classifier's arrays, running statistics included: its checkpoint records'."""
+    return [a for layer in cls.layers for a in _layer_record(layer)[2]]
 
 
 def _load_classifier_state(cls, state):
-    params, running = state
-    for p, data in zip(cls.parameters(), params, strict=True):
-        p.data = data
-    bns = [layer for layer in cls.layers if isinstance(layer, BatchNorm1d)]
-    for bn, (mean, var) in zip(bns, running, strict=True):
-        bn.running_mean, bn.running_var = mean, var
+    """Copy `_classifier_state` arrays into the classifier's own arrays, in place."""
+    for dst, src in zip(_classifier_state(cls), state, strict=True):
+        dst[...] = src
 
 
 def _serve_classifier(conn, parent_end, cls, adam, train_ds, priors, clamps):
@@ -443,7 +440,7 @@ class _ClassifierWorker:
         return value
 
     def pull_classifier(self):
-        """Copy the worker's classifier weights and running statistics into the parent's.
+        """Copy the worker's classifier weights and running statistics into the parent's arrays.
 
         Every C step must be answered first; the next C step is batch 0 of a new epoch.
         """
@@ -474,48 +471,3 @@ class _ClassifierWorker:
         if self.proc.is_alive():  # still in a C step whose result is not wanted
             self.proc.terminate()
             self.proc.join()
-
-
-def _achsgan_steps(config, players, adam_d, adam_g, priors,
-                   real_x, real_y, fake, fake_det, classes, stats, clamps) -> dict:
-    """Two-player variant: the discriminator's N+1 outputs carry both games."""
-    disc = players["d"]
-    n = disc.n_out - 1
-    w_r = ad.const(priors.p_real[real_y])
-    w_g = ad.const(priors.p_gen[classes])
-    w_cr = ad.const(priors.p_cls[real_y])
-    w_cf = ad.const(priors.p_cls[classes])
-
-    def heads(x):
-        logits = disc.logits(x, train=True)
-        adv = ad.sigmoid(ad.reshape(_take_cols(logits, np.array([n])), (x.shape[0],)))
-        probs = ad.softmax(_take_cols(logits, np.arange(n)), axis=1)
-        return adv, probs
-
-    with _Freezer(players, "d"):
-        adam_d.zero_grad()
-        adv_r, probs_r = heads(real_x)
-        adv_f, probs_f = heads(fake_det)
-        ce_real = ad.mean_(ad.mul(w_cr, _safe_log(ad.gather(probs_r, real_y), clamps)))
-        ce_fake = ad.mean_(ad.mul(w_cf, _safe_log(ad.gather(probs_f, classes), clamps)))
-        ld = -(ad.mean_(ad.mul(w_r, _safe_log(adv_r, clamps)))
-               + ad.mean_(ad.mul(w_g, _safe_log(1.0 - adv_f, clamps)))
-               + ce_real + ce_fake)
-        ad.backward(ld)
-        adam_d.step()
-
-    with _Freezer(players, "g"):
-        adam_g.zero_grad()
-        adv_fl, probs_fl = heads(fake)
-        ce_fl = ad.mean_(ad.mul(w_cf, _safe_log(ad.gather(probs_fl, classes), clamps)))
-        if config.gen_loss == "saturating":
-            lg = ad.mean_(ad.mul(w_g, _safe_log(1.0 - adv_fl, clamps))) - ce_fl
-        else:
-            lg = -(ad.mean_(ad.mul(w_g, _safe_log(adv_fl, clamps))) + ce_fl)
-        ad.backward(lg)
-        adam_g.step()
-
-    stats.update(loss_d=ld.item(), loss_g=lg.item(),
-                 loss_c=float(-(ce_real.item() + ce_fake.item())),
-                 d_real=float(adv_r.data.mean()), d_fake=float(adv_f.data.mean()))
-    return stats

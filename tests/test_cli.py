@@ -200,6 +200,27 @@ def test_train_bad_config_value_rejected_before_data_is_read(tmp_path, capsys, f
     assert flag[2:].replace("-", "_") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["synth", "--classes", "2", "--bands", "8", "--sizes", "4,4", "--seed", "-3"], "--seed"),
+    (["train", "--tttr", "0.5", "--batch", "16", "--seeds", "0,-1"], "--seeds"),
+    (["train", "--tttr", "0.5", "--batch", "16", "--split-seed", "-1"], "--split-seed"),
+    (["eval", "--checkpoint", "none.mgsg", "--tttr", "0.5", "--split-seed", "-1"],
+     "--split-seed"),
+    (["export-spectra", "--checkpoint", "none.mgsg", "--tttr", "0.5", "--split-seed", "-1"],
+     "--split-seed"),
+    (["export-spectra", "--checkpoint", "none.mgsg", "--tttr", "0.5", "--noise-seed", "-1"],
+     "--noise-seed"),
+])
+def test_negative_seed_rejected_before_data_is_read(tmp_path, capsys, argv, flag):
+    # the data file does not exist: a data error would mean it was read first
+    out = tmp_path / "out"
+    data = [] if argv[0] == "synth" else ["--data", str(tmp_path / "nope.csv")]
+    rc = main(argv + data + ["--out", str(out)])
+    assert rc == EXIT_USAGE
+    assert flag in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_eval_report_and_compare_identical_checkpoints(tmp_path):
     data = _synth(tmp_path)
     out = tmp_path / "run"

@@ -187,6 +187,14 @@ def test_synthetic_contract_checks():
         make_synthetic(0, 2, 8, [10, 10], overlap=1.5)
 
 
+def test_negative_seeds_rejected():
+    # numpy's generators take only seeds >= 0 and raise a bare ValueError otherwise
+    with pytest.raises(ContractError, match="seed"):
+        make_synthetic(-1, 2, 8, [10, 10], overlap=0.0)
+    with pytest.raises(ContractError, match="seed"):
+        SplitSpec(tttr=0.5, seed=-1)
+
+
 def test_domains_contain_heldout_samples():
     # boxes computed from the train split contain >= 99% of held-out samples
     ds = make_synthetic(77, 3, 24, [200, 200, 200], overlap=0.3)

@@ -7,9 +7,10 @@ import pytest
 
 from mgsgan import autodiff as ad
 from mgsgan.errors import ContractError
-from mgsgan.losses import (PROB_EPS, ClassPriors, DiscreteDistribution,
+from mgsgan.losses import (PROB_EPS, ClassPriors, DiscreteDistribution, _safe_log,
                            adversarial_value, game_value_at_optimum, js_divergence,
                            loss_c, loss_d, loss_g, optimal_discriminator)
+from mgsgan.models import Discriminator, Generator, _take_cols, generate
 
 
 class ConstantDisc:
@@ -18,8 +19,8 @@ class ConstantDisc:
     def __init__(self, p):
         self.p = p
 
-    def prob(self, x, train):
-        return ad.mul(ad.const(np.ones(x.shape[0])), ad.const(self.p))
+    def heads(self, x, train):
+        return ad.mul(ad.const(np.ones(x.shape[0])), ad.const(self.p)), None
 
 
 class LogisticDisc:
@@ -29,8 +30,8 @@ class LogisticDisc:
         self.a = ad.param([a])
         self.b = ad.param([b])
 
-    def prob(self, x, train):
-        return ad.sigmoid(ad.add(ad.mul(ad.reshape(x, (x.shape[0],)), self.a), self.b))
+    def heads(self, x, train):
+        return ad.sigmoid(ad.add(ad.mul(ad.reshape(x, (x.shape[0],)), self.a), self.b)), None
 
 
 class UniformClassifier:
@@ -71,9 +72,9 @@ def test_loss_d_perfect_discriminator_clamp_bound():
         def __init__(self):
             self.calls = 0
 
-        def prob(self, x, train):  # 1 on the real batch, 0 on the fake batch
+        def heads(self, x, train):  # 1 on the real batch, 0 on the fake batch
             self.calls += 1
-            return ad.const(np.full(x.shape[0], 1.0 if self.calls == 1 else 0.0))
+            return ad.const(np.full(x.shape[0], 1.0 if self.calls == 1 else 0.0)), None
 
     ld = loss_d(PerfectDisc(), _batch(rng, 4, 3), np.zeros(4, dtype=int),
                 _batch(rng, 4, 3), np.zeros(4, dtype=int), priors)
@@ -93,9 +94,9 @@ def test_loss_d_uniform_priors_match_scaled_unweighted():
         def __init__(self):
             self.calls = 0
 
-        def prob(self, x, train):
+        def heads(self, x, train):
             self.calls += 1
-            return ad.const(d_real if self.calls == 1 else d_fake)
+            return ad.const(d_real if self.calls == 1 else d_fake), None
 
     ld = loss_d(TableDisc(), _batch(rng, 10, 3), y, _batch(rng, 10, 3), c, priors)
     unweighted = -(np.mean(np.log(d_real)) + np.mean(np.log(1 - d_fake)))
@@ -216,6 +217,105 @@ def test_probability_clamp_logged_once_per_run(caplog):
                clamps=clamps)
         clamps.warn_once()
     assert sum("clamped" in r.message for r in caplog.records) == 2
+
+
+# ---------------------------------------------------------------------------
+# a discriminator with an N+1 class head, against the two-player formulas that
+# the training loop used to write out inline; both must give the same bits
+
+
+def _reference_heads(disc, x):
+    n = disc.n_out - 1
+    logits = disc.logits(x, train=True)
+    adv = ad.sigmoid(ad.reshape(_take_cols(logits, np.array([n])), (x.shape[0],)))
+    probs = ad.softmax(_take_cols(logits, np.arange(n)), axis=1)
+    return adv, probs
+
+
+def _reference_loss_d(disc, real_x, real_y, fake_x, classes, priors):
+    w_r = ad.const(priors.p_real[real_y])
+    w_g = ad.const(priors.p_gen[classes])
+    w_cr = ad.const(priors.p_cls[real_y])
+    w_cf = ad.const(priors.p_cls[classes])
+    adv_r, probs_r = _reference_heads(disc, real_x)
+    adv_f, probs_f = _reference_heads(disc, fake_x)
+    ce_real = ad.mean_(ad.mul(w_cr, _safe_log(ad.gather(probs_r, real_y))))
+    ce_fake = ad.mean_(ad.mul(w_cf, _safe_log(ad.gather(probs_f, classes))))
+    ld = -(ad.mean_(ad.mul(w_r, _safe_log(adv_r)))
+           + ad.mean_(ad.mul(w_g, _safe_log(1.0 - adv_f)))
+           + ce_real + ce_fake)
+    stats = {"d_real_mean": float(adv_r.data.mean()), "d_fake_mean": float(adv_f.data.mean()),
+             "loss_c": float(-(ce_real.item() + ce_fake.item()))}
+    return ld, stats
+
+
+def _reference_loss_g(disc, fake_x, classes, priors, saturating):
+    w_g = ad.const(priors.p_gen[classes])
+    w_cf = ad.const(priors.p_cls[classes])
+    adv_fl, probs_fl = _reference_heads(disc, fake_x)
+    ce_fl = ad.mean_(ad.mul(w_cf, _safe_log(ad.gather(probs_fl, classes))))
+    if saturating:
+        return ad.mean_(ad.mul(w_g, _safe_log(1.0 - adv_fl))) - ce_fl
+    return -(ad.mean_(ad.mul(w_g, _safe_log(adv_fl))) + ce_fl)
+
+
+def _state_bytes(disc, gen):
+    """Each D and G parameter's gradient, and D's batch-norm running statistics."""
+    def grads(net):
+        return [None if p.grad is None else p.grad.tobytes() for p in net.parameters()]
+
+    return {"d": grads(disc), "g": grads(gen),
+            "bn": (disc.bn.running_mean.tobytes(), disc.bn.running_var.tobytes())}
+
+
+@pytest.mark.parametrize("saturating", [False, True])
+def test_class_head_losses_match_the_two_player_reference_bit_for_bit(saturating):
+    n, d, b = 3, 16, 8
+    priors = ClassPriors([0.5, 0.3, 0.2], [0.2, 0.3, 0.5], [0.4, 0.4, 0.2])
+    rng = np.random.default_rng(30)
+    real_x = ad.const(rng.uniform(-1, 1, size=(b, d)))
+    real_y = rng.integers(0, n, size=b)
+    classes = rng.integers(0, n, size=b)
+    z = rng.standard_normal((b, 5))
+    results = []
+    for reference in (True, False):
+        disc = Discriminator(d, np.random.default_rng(31), n_out=n + 1)
+        gen = Generator(5 + n, d, np.random.default_rng(32), 1)
+        fake = generate(gen, z, classes)
+        for p in gen.parameters():  # the D step holds G fixed
+            p.requires_grad = False
+        stats = {}
+        if reference:
+            ld, stats = _reference_loss_d(disc, real_x, real_y, fake.detach(), classes, priors)
+        else:
+            ld = loss_d(disc, real_x, real_y, fake.detach(), classes, priors, stats=stats)
+        ad.backward(ld)
+        after_d = _state_bytes(disc, gen)
+        for p in gen.parameters() + disc.parameters():  # the G step holds D fixed
+            p.requires_grad = not p.requires_grad
+            p.grad = None
+        fake = generate(gen, z, classes)
+        if reference:
+            lg = _reference_loss_g(disc, fake, classes, priors, saturating)
+        else:
+            lg = loss_g(disc, fake, classes, priors, saturating=saturating)
+        ad.backward(lg)
+        results.append((ld.data.tobytes(), stats, after_d,
+                        lg.data.tobytes(), _state_bytes(disc, gen)))
+    assert results[0] == results[1]
+    _, stats, after_d, _, after_g = results[1]
+    assert set(stats) == {"d_real_mean", "d_fake_mean", "loss_c"}
+    assert None not in after_d["d"] and None not in after_g["g"]
+
+
+def test_heads_without_a_class_head_give_the_bits_of_prob():
+    x = ad.const(np.random.default_rng(33).uniform(-1, 1, size=(6, 16)))
+    disc = Discriminator(16, np.random.default_rng(34))
+    p, probs = disc.heads(x, train=False)
+    assert probs is None
+    want = ad.sigmoid(ad.reshape(disc.logits(x, train=False), (6,)))
+    assert p.data.tobytes() == want.data.tobytes()
+    assert disc.prob(x, train=False).data.tobytes() == want.data.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,17 @@ def test_generate_invalid_class_rejected():
             bank.generate_batch(ad.const(np.zeros((2, 6))), np.array([0, bad]))
 
 
+@pytest.mark.parametrize("bad", [2, -1])
+def test_generate_rejects_class_ids_outside_the_range_for_either_generator(bad):
+    # a one-hot code of class -1 would be class N-1's; class N would index past np.eye(N)
+    rng = np.random.default_rng(4)
+    bank = _bank(8, 6, _domains_for(8, 2), rng)
+    cond = Generator(8, 8, rng, 1)  # noise 6 plus a 2-class one-hot code
+    for gen in (bank, cond):
+        with pytest.raises(ContractError, match="outside"):
+            generate(gen, np.zeros((2, 6)), np.array([0, bad]))
+
+
 def test_discriminator_zero_head_gives_half():
     rng = np.random.default_rng(5)
     disc = Discriminator(16, rng)

@@ -85,6 +85,11 @@ def test_batch_larger_than_dataset_rejected():
         TrainConfig(epochs=1, batch=1, seed=0)
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(ContractError, match="seed"):  # numpy's generators need seeds >= 0
+        TrainConfig(epochs=1, batch=8, seed=-1)
+
+
 def test_frozen_player_contract_each_step():
     rng = np.random.default_rng(9)
     ds = _toy_ds(n_per=12, d=8)
@@ -343,6 +348,23 @@ def test_classifier_step_abort_has_context_and_last_good(monkeypatch):
     assert err.value.last_good == one_epoch.checkpoint_bytes()
     assert load_checkpoint_bytes(err.value.last_good).mode == "mgsgan"
     assert multiprocessing.active_children() == []
+
+
+def test_pulled_classifier_keeps_the_arrays_it_was_built_with(monkeypatch):
+    # the epoch-end pull copies the worker's state into the parent's arrays in place
+    built = []
+    real_build_players = training.build_players
+
+    def recording_build_players(*args):
+        players = real_build_players(*args)
+        built.extend((p, p.data, p.data.copy()) for p in players.classifier.parameters())
+        return players
+
+    monkeypatch.setattr(training, "build_players", recording_build_players)
+    res = train(_toy_ds(n_per=16, d=8), TrainConfig(epochs=2, batch=16, seed=1, mode="acsgan"))
+    assert [p for p, _, _ in built] == res.classifier.parameters()
+    assert all(p.data is data for p, data, _ in built)
+    assert any(not np.array_equal(p.data, init) for p, _, init in built)  # it was trained
 
 
 def test_classifier_error_is_reported_over_generator_error(monkeypatch):
