@@ -10,7 +10,10 @@ The library is found as the OpenBLAS that numpy's wheels ship in
 `numpy.libs`. A numpy built against another BLAS keeps its own threading, and
 its results may then depend on the thread count again. Even at one thread, a
 different CPU may run other OpenBLAS kernels (DYNAMIC_ARCH builds pick them at
-load time), so bit-identical artifacts are promised for one machine only.
+load time), and numpy's own loops (`exp`, `log`, `tanh`) pick SIMD code by
+CPU too, so bit-identical artifacts are promised for one kind of CPU only;
+`describe` names both choices. The environment variables OPENBLAS_CORETYPE
+and NPY_DISABLE_CPU_FEATURES fix them when set before numpy is loaded.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ TRAIN_THREADS = 1
 
 @functools.lru_cache(maxsize=None)
 def _openblas():
-    """(get_num_threads, set_num_threads) of numpy's bundled OpenBLAS, or None."""
+    """(get_num_threads, set_num_threads, get_corename) of numpy's bundled OpenBLAS, or None."""
     libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(libdir.glob("*openblas*")):
         try:
@@ -37,10 +40,13 @@ def _openblas():
         for suffix in ("64_", ""):
             get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
             put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            core = getattr(lib, f"scipy_openblas_get_corename{suffix}", None)
             if get is not None and put is not None:
                 get.argtypes, get.restype = [], ctypes.c_int
                 put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
+                if core is not None:
+                    core.argtypes, core.restype = [], ctypes.c_char_p
+                return get, put, core
     return None
 
 
@@ -51,7 +57,7 @@ def single_thread():
     if funcs is None:
         yield
         return
-    get, put = funcs
+    get, put, _ = funcs
     old = get()
     put(TRAIN_THREADS)
     try:
@@ -61,13 +67,23 @@ def single_thread():
 
 
 def describe() -> dict:
-    """numpy's BLAS name and version, and the thread count training runs it with.
+    """What a run's bits depend on: numpy's BLAS and the kernels it and numpy chose.
 
-    `threads` is None when the library's thread count cannot be set.
+    `name` and `version` are the BLAS's, `threads` the count training runs it
+    with, `core` the OpenBLAS kernel set picked for this CPU (SkylakeX,
+    Haswell, Zen, ...) and `simd` the highest SIMD target numpy dispatches
+    its loops to (X86_V3 is AVX2, X86_V4 AVX-512). A value is None when the
+    library or numpy does not report it.
     """
     try:
-        info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        config = np.show_config(mode="dicts")
+        info = config["Build Dependencies"]["blas"]
+        simd = config["SIMD Extensions"]
     except (TypeError, KeyError):  # numpy before 1.26 prints its config only
-        info = {}
+        info, simd = {}, {}
+    levels = simd.get("found") or simd.get("baseline") or [None]
+    funcs = _openblas()
+    core = funcs[2]() if funcs is not None and funcs[2] is not None else None
     return {"name": info.get("name"), "version": info.get("version"),
-            "threads": TRAIN_THREADS if _openblas() is not None else None}
+            "threads": TRAIN_THREADS if funcs is not None else None,
+            "core": core.decode() if core else None, "simd": levels[-1]}

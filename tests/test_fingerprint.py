@@ -13,43 +13,59 @@ and with it the checkpoint; the 3 x 16 set does not reach that regime.
 `train` runs numpy's OpenBLAS on one thread, so the pins hold whatever
 OPENBLAS_NUM_THREADS is set to; a multi-threaded GEMM sums these products in
 another order and gave other wide mgsgan and acsgan checkpoints.
+
+The bits also depend on the kernels picked for the CPU: OpenBLAS's GEMM
+kernel set and numpy's SIMD loops for exp, log and tanh (AVX-512 and AVX2 code
+round some results differently). Each `train` and `export-spectra` therefore
+runs in a child process whose environment fixes both at the AVX2 level that
+every x86-64 CI runner has (`PORTABLE_ENV`); both must be set before numpy
+loads, hence the child. The data sets are made by `synth` in such a child too. The pins then hold on any x86-64 CPU with AVX2, but
+not on another architecture.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from mgsgan import blas
-from mgsgan.cli import EXIT_OK, main
-from mgsgan.data import make_synthetic, save_dataset
+import mgsgan
+from mgsgan.cli import EXIT_OK
+
+PORTABLE_ENV = {"OPENBLAS_CORETYPE": "Haswell",
+                "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+SRC = str(Path(mgsgan.__file__).resolve().parent.parent)
 
 PINNED = {
     "mgsgan": {
-        "checkpoint.mgsg": "7873769bb0d7980bd71ced0cf9a979f40b3eaf790a4cf8bdccfeafd273669ecf",
-        "runlog.jsonl": "e04469ac9b759e8af3bab974aee703ec525cdc9b828ff9c07bab53ab5afc04b5",
+        "checkpoint.mgsg": "9fe8291d9c155f8c7f7e55cac901f65fb57d111fd2937eec0a9ee4965aafb1df",
+        "runlog.jsonl": "808720081d0d3d534135913db76fb3c8512dcb3f763ccce1604923e80db020ec",
     },
     "acsgan": {
-        "checkpoint.mgsg": "b277cedc5daaa8659a0e9a56c28c677e32704c2f5242f6da3bd4674c7980a66a",
-        "runlog.jsonl": "9f5bd7e165cd2c3b3fc4919da447030689d57689719768698d1307506b1bcbdf",
+        "checkpoint.mgsg": "a2b1bcb5386ef18168aa64358ae18d152d871b2a80564f8928ac1a38bad82845",
+        "runlog.jsonl": "9b5527a0b08a5e0dfde1787904143759c704149d1b957f0f67289399fc32d622",
     },
     "achsgan": {
-        "checkpoint.mgsg": "8a9da1bfdd7812608173ad44b0c3ad6fb5fcf7f6c0b8e7c1c15bc72c203c38f2",
-        "runlog.jsonl": "88797e8d1b86155585ef093a8a1163ee58c3749c6389b9c382b9628a36b58cf7",
+        "checkpoint.mgsg": "6fb41db918d2ed8ad068bbcdd8d82efb2db3c6591b483bf30961ffda2deec47f",
+        "runlog.jsonl": "c1e85730a24c106540fd8c15cd3e9e81e5299477c0b72ff18eb52633e95b5882",
     },
 }
-PINNED_EXPORT = "5bbd6e8fada37b18d9a6727cea3a39d42e21e0ad11cccccefca154b10ebaab8b"
+PINNED_EXPORT = "c06060bfa553797872383679984c3dfe0ce7b1c33c124774138bc11a974224f2"
 PINNED_WIDE = {
     "mgsgan": {
-        "checkpoint.mgsg": "1395847de0876b1dea479e7be76046c3c7f0550930b05ae255dc733ac16f41a9",
-        "runlog.jsonl": "a361b5b3d8858613aba12b63326fe9cc412c6e5041538f0dd0493ff145ad18f4",
+        "checkpoint.mgsg": "5928ab2b7f36c89b1b6d8eed1980d866abe58e9317f1aab8232ec1f974c77575",
+        "runlog.jsonl": "bb2fa5298e55e703b0057156941cda11eb466fc5e764e3b7a42a34e05209ca56",
     },
     "acsgan": {
-        "checkpoint.mgsg": "8a0d1e8a15e29907f9dacff792e7ba7b9c7c8d131b363815a4db350abeeab45c",
-        "runlog.jsonl": "3a4848da0701411162124468ad79c82f03dbc7b635621b60c80323a026b558ce",
+        "checkpoint.mgsg": "f772b76871da0835b207138946b870ba75e812cd7612a6c7d2f06549147f60e4",
+        "runlog.jsonl": "3e011bbb44c63b5ae821f257f36eaff7288a79b3508b1d142e7dc84bad29c030",
     },
     "achsgan": {
-        "checkpoint.mgsg": "e2d6e15b82df5eb6b18444507e8de937fa51f7355e5fbadaba2184e6e03ae405",
-        "runlog.jsonl": "5603a3512a48b4287c908dea8bbc5adeba0ef20acc224671155025f4f289c125",
+        "checkpoint.mgsg": "60e0fe1c3a32192c7a5296a3f8055a1a99da035aa64a506f92992702dae3d82e",
+        "runlog.jsonl": "867734771b11e628639bf6f5e5e7dfa9270f68e394be0694b2dd82c525776bea",
     },
 }
 
@@ -58,33 +74,46 @@ def _sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _blas_note():
-    """The BLAS behind a digest mismatch: another library or CPU may sum in another order."""
-    info = blas.describe()
+def _mgsgan(*argv):
+    """Run the CLI in a child process that loads numpy under PORTABLE_ENV."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, **PORTABLE_ENV, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-m", "mgsgan.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == EXIT_OK, proc.stderr
+
+
+def _blas_note(run_dir):
+    """The kernels behind a digest mismatch, from the train manifest: another
+    library, kernel set or SIMD level may sum or round in another way."""
+    info = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))["blas"]
     return (f"digests differ under BLAS {info['name']} {info['version']}, "
-            f"{info['threads']} thread(s)")
+            f"{info['threads']} thread(s), core {info['core']}, numpy SIMD {info['simd']}")
+
+
+def _synth(path, classes, bands, sizes):
+    """The synthetic set, made in a child too: its templates go through np.exp."""
+    _mgsgan("synth", "--classes", str(classes), "--bands", str(bands), "--sizes", sizes,
+            "--seed", "7", "--overlap", "0.3", "--out", str(path))
+    return path
 
 
 @pytest.fixture(scope="module")
 def data_path(tmp_path_factory):
-    path = tmp_path_factory.mktemp("fingerprint") / "ds.csv"
-    save_dataset(path, make_synthetic(7, 3, 16, [40, 40, 12], overlap=0.3))
-    return path
+    return _synth(tmp_path_factory.mktemp("fingerprint") / "ds.csv", 3, 16, "40,40,12")
 
 
 @pytest.fixture(scope="module")
 def wide_data_path(tmp_path_factory):
-    path = tmp_path_factory.mktemp("fingerprint_wide") / "ds.csv"
-    save_dataset(path, make_synthetic(7, 16, 200, [16] * 16, overlap=0.3))
-    return path
+    return _synth(tmp_path_factory.mktemp("fingerprint_wide") / "ds.csv", 16, 200,
+                  ",".join(["16"] * 16))
 
 
 def _train(data_path, mode, epochs=3, batch=16):
     out = data_path.parent / mode
-    rc = main(["train", "--data", str(data_path), "--out", str(out), "--mode", mode,
-               "--epochs", str(epochs), "--tttr", "0.5", "--split-seed", "0",
-               "--batch", str(batch), "--seeds", "1"])
-    assert rc == EXIT_OK
+    _mgsgan("train", "--data", str(data_path), "--out", str(out), "--mode", mode,
+            "--epochs", str(epochs), "--tttr", "0.5", "--split-seed", "0",
+            "--batch", str(batch), "--seeds", "1")
     return out / "seed_1"
 
 
@@ -92,21 +121,20 @@ def _train(data_path, mode, epochs=3, batch=16):
 def test_train_artifacts_match_pinned_digests(data_path, mode):
     seed_dir = _train(data_path, mode)
     got = {name: _sha(seed_dir / name) for name in PINNED[mode]}
-    assert got == PINNED[mode], _blas_note()
+    assert got == PINNED[mode], _blas_note(seed_dir.parent)
 
 
 @pytest.mark.parametrize("mode", sorted(PINNED_WIDE))
 def test_wide_train_artifacts_match_pinned_digests(wide_data_path, mode):
     seed_dir = _train(wide_data_path, mode, epochs=2, batch=64)
     got = {name: _sha(seed_dir / name) for name in PINNED_WIDE[mode]}
-    assert got == PINNED_WIDE[mode], _blas_note()
+    assert got == PINNED_WIDE[mode], _blas_note(seed_dir.parent)
 
 
 def test_export_spectra_matches_pinned_digest(data_path):
     seed_dir = _train(data_path, "mgsgan")
     csv_path = data_path.parent / "spectra.csv"
-    rc = main(["export-spectra", "--checkpoint", str(seed_dir / "checkpoint.mgsg"),
-               "--data", str(data_path), "--tttr", "0.5", "--split-seed", "0",
-               "--out", str(csv_path)])
-    assert rc == EXIT_OK
-    assert _sha(csv_path) == PINNED_EXPORT, _blas_note()
+    _mgsgan("export-spectra", "--checkpoint", str(seed_dir / "checkpoint.mgsg"),
+            "--data", str(data_path), "--tttr", "0.5", "--split-seed", "0",
+            "--out", str(csv_path))
+    assert _sha(csv_path) == PINNED_EXPORT, _blas_note(seed_dir.parent)
