@@ -13,6 +13,11 @@ shapes, or one shape must be a trailing suffix of the other (which covers
 scalars and per-feature bias vectors, i.e. broadcasting over leading batch
 dimensions only).
 
+An op computes in the dtype of its operands, f64 by default: a scalar that
+meets a tensor becomes a constant of that tensor's dtype, and every buffer an
+op allocates takes its operands' dtype, so f32 operands give f32 outputs and
+f32 gradients.
+
 An op's output keeps the memory order of the formulation it replaced (for
 elementwise ops, numpy's keep-order layout of the operands), because later
 reductions sum in memory order and a different layout changes their bits.
@@ -37,7 +42,9 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_id")
 
     def __init__(self, data, requires_grad=False, _parents=(), _vjp=None):
-        self.data = data if isinstance(data, np.ndarray) else np.asarray(data, dtype=np.float64)
+        if not isinstance(data, np.ndarray):  # a numpy scalar keeps its dtype
+            data = np.asarray(data, dtype=data.dtype if isinstance(data, np.generic) else np.float64)
+        self.data = data
         self.requires_grad = requires_grad
         self.grad = None
         self._parents = _parents
@@ -66,27 +73,27 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # Operator sugar; scalars are wrapped as constant tensors.
+    # Operator sugar; scalars are wrapped as constant tensors of this one's dtype.
     def __add__(self, other):
-        return add(self, _wrap(other))
+        return add(self, _wrap(other, self))
 
     def __radd__(self, other):
-        return add(_wrap(other), self)
+        return add(_wrap(other, self), self)
 
     def __mul__(self, other):
-        return mul(self, _wrap(other))
+        return mul(self, _wrap(other, self))
 
     def __rmul__(self, other):
-        return mul(_wrap(other), self)
+        return mul(_wrap(other, self), self)
 
     def __neg__(self):
-        return mul(self, _wrap(-1.0))
+        return mul(self, _wrap(-1.0, self))
 
     def __sub__(self, other):
-        return add(self, -_wrap(other))
+        return add(self, -_wrap(other, self))
 
     def __rsub__(self, other):
-        return add(_wrap(other), -self)
+        return add(_wrap(other, self), -self)
 
 
 def param(data, dtype=np.float64) -> Tensor:
@@ -98,8 +105,10 @@ def const(data, dtype=np.float64) -> Tensor:
     return Tensor(np.asarray(data, dtype=dtype), requires_grad=False)
 
 
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+def _wrap(x, like: Tensor) -> Tensor:
+    """x itself if it is a tensor, else a constant of like's dtype: a 0-d f64
+    array would promote an f32 operand to f64."""
+    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
 def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
@@ -334,7 +343,7 @@ def permute_rows(x: Tensor, perm: np.ndarray) -> Tensor:
     out = x.data[perm]
 
     def vjp(g):
-        gx = np.empty(g.shape)
+        gx = np.empty(g.shape, dtype=g.dtype)
         gx[perm] = g
         return (gx,)
 
@@ -354,7 +363,7 @@ def sum_(x: Tensor, axis=None) -> Tensor:
 
 def mean_(x: Tensor, axis=None) -> Tensor:
     n = x.size if axis is None else x.shape[axis]
-    return mul(sum_(x, axis=axis), _wrap(1.0 / n))
+    return mul(sum_(x, axis=axis), _wrap(1.0 / n, x))
 
 
 # ---------------------------------------------------------------------------
@@ -495,17 +504,18 @@ def bank_dense(x: Tensor, w: Tensor, bias: Tensor, bounds) -> Tensor:
             or bias.shape != (w.shape[0], w.shape[2])):
         raise ShapeError(f"bank_dense: incompatible shapes {x.shape}, {w.shape} and {bias.shape}")
     segs, owner = _bank_segments(bounds, w.shape[0], x.shape[0], "bank_dense")
-    out = np.empty((x.shape[0], w.shape[2]))
+    dtype = np.result_type(x.data, w.data)
+    out = np.empty((x.shape[0], w.shape[2]), dtype=dtype)
     for j, s, e in segs:
         np.matmul(x.data[s:e], w.data[j], out=out[s:e])
     out = out + bias.data[owner]
 
     def vjp(g):
         # The bank's input is the constant noise, whose gradient nobody reads.
-        gx = np.empty(x.shape) if x.requires_grad else None
-        gw = np.empty(w.shape)
+        gx = np.empty(x.shape, dtype=dtype) if x.requires_grad else None
+        gw = np.empty(w.shape, dtype=dtype)
         gw[np.bincount(owner, minlength=w.shape[0]) == 0] = 0.0  # the experts with no rows
-        gb = np.zeros(bias.shape)
+        gb = np.zeros(bias.shape, dtype=dtype)
         for j, s, e in segs:
             if gx is not None:
                 np.matmul(g[s:e], w.data[j].T, out=gx[s:e])
@@ -534,16 +544,17 @@ def bank_convt(y: Tensor, w: Tensor, bias: Tensor, bounds, stride: int = 1, pad:
     segs, owner = _bank_segments(bounds, n, b, "bank_convt")
     w2 = w.data.reshape(n, o, c * k)
     y2 = _flat_bt(y.data)
-    cols = np.empty((b * t, c * k))
+    dtype = np.result_type(y2, w2)
+    cols = np.empty((b * t, c * k), dtype=dtype)
     for j, s, e in segs:
         np.matmul(y2[s * t : e * t], w2[j], out=cols[s * t : e * t])
     out = _col2im(cols, b, c, k, t, length, stride, pad) + bias.data[owner][:, :, None]
 
     def vjp(g):
         gcol = _im2col(g, k, stride, pad, t)
-        gy2 = np.empty((b * t, o))
-        gw = np.zeros(w.shape)
-        gb = np.zeros(bias.shape)
+        gy2 = np.empty((b * t, o), dtype=dtype)
+        gw = np.zeros(w.shape, dtype=dtype)
+        gb = np.zeros(bias.shape, dtype=dtype)
         for j, s, e in segs:
             rows = slice(s * t, e * t)
             np.matmul(gcol[rows], w2[j].T, out=gy2[rows])
@@ -601,11 +612,12 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
 def batch_norm_eval(x: Tensor, gamma: Tensor, beta: Tensor,
                     running_mean: np.ndarray, running_var: np.ndarray,
                     eps: float = 1e-5) -> Tensor:
-    """Eval-mode normalization with fixed running statistics."""
+    """Eval-mode normalization with fixed running statistics, taken in x's dtype."""
     _, view = _bn_axes(x)
     shape = [x.shape[1] if v == -1 else v for v in view]
-    inv = 1.0 / np.sqrt(running_var.reshape(shape) + eps)
-    xhat = (x.data - running_mean.reshape(shape)) * inv
+    mean = np.asarray(running_mean, dtype=x.data.dtype).reshape(shape)
+    inv = 1.0 / np.sqrt(np.asarray(running_var, dtype=x.data.dtype).reshape(shape) + eps)
+    xhat = (x.data - mean) * inv
     gview = gamma.data.reshape(shape)
     out = gview * xhat + beta.data.reshape(shape)
     axes, _ = _bn_axes(x)

@@ -21,8 +21,10 @@ classifier (absent for achsgan, whose class head lives in the discriminator).
 Expert j's network is a dense and two conv1d_transpose records written from
 row j of the stack's (experts, …) parameters. Loading builds fresh players
 and copies every record into their arrays in place.
-Weights are stored in f32, so the first save of an f64-trained model is a
-quantization; save -> load -> save is bit-identical.
+Weights and boxes are stored in f32, the dtype the players train in and the
+boxes are rounded to, so a trained model's save -> load round trip is lossless
+and save -> load -> save is bit-identical. A player built in f64 by hand is
+quantized by its first save.
 """
 
 from __future__ import annotations
@@ -125,7 +127,7 @@ class _Reader:
         return struct.unpack_from("<Q", self.blob, self._take(8))[0]
 
     def f32(self, n: int) -> np.ndarray:
-        """n f32 values as a read-only view of the file; loading casts them to f64."""
+        """n f32 values as a read-only view of the file; loading copies them into the players."""
         return np.frombuffer(self.blob, dtype="<f4", count=n, offset=self._take(4 * n))
 
 

@@ -329,7 +329,7 @@ def _cmd_export_spectra(args) -> int:
         z = rng.standard_normal((args.samples, ck.noise_dim))
         with ad.no_grad():
             fake = generate(ck.generator, z, np.full(args.samples, j))
-        gen_mean = fake.data.mean(axis=0)
+        gen_mean = fake.data.mean(axis=0, dtype=np.float64)  # an f32 sum can round past the box
         dom = ck.domains[j]
         for band in range(ck.d):
             vals = (float(real_mean[band]), float(gen_mean[band]),

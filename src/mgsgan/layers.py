@@ -144,7 +144,8 @@ class Adam:
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
         block = min(ADAM_BLOCK, max((p.size for p in self.params), default=0))
-        self._scratch = np.empty((2, block))
+        dtype = self.params[0].data.dtype if self.params else np.float64
+        self._scratch = np.empty((2, block), dtype=dtype)  # temporaries in the parameters' dtype
 
     def _check_contiguous(self):
         for i, p in enumerate(self.params):

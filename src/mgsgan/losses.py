@@ -106,7 +106,7 @@ def _check_batch(x: ad.Tensor, labels: np.ndarray, n_classes: int, who: str) -> 
 
 def _log_likelihood(w: np.ndarray, p: ad.Tensor, clamps: ClampLog | None) -> ad.Tensor:
     """Batch mean of w * log(p) for per-sample weights w, p clamped by `_safe_log`."""
-    return ad.mean_(ad.mul(ad.const(w), _safe_log(p, clamps)))
+    return ad.mean_(ad.mul(ad.const(w, dtype=p.data.dtype), _safe_log(p, clamps)))
 
 
 def loss_d(disc, real_x: ad.Tensor, real_y: np.ndarray,

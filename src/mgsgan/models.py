@@ -12,6 +12,13 @@ a strided conv stack with a sigmoid head; achsgan's has N+1 outputs, the first
 N a softmax class head that serves as its classifier. The classifier of the
 other modes extracts features through parallel conv branches with distinct
 kernel sizes and ends in an N-way softmax.
+
+The players train and predict in DTYPE (f32). `build_players` is the one place
+that casts: it casts every parameter and batch-norm running statistic, and
+every other input (noise, samples, fake rows) is cast to the dtype of the
+parameters of the player it enters. The ops and layers themselves keep their
+inputs' dtype, f64 by default, so a player built from its layers by hand
+stays f64.
 """
 
 from __future__ import annotations
@@ -37,6 +44,10 @@ CLS_KERNELS = (3, 5, 7)
 CLS_BRANCH_CHANNELS = (6, 12)
 CLS_STRIDE = 2
 LEAKY_SLOPE = 0.2
+
+# The precision the players train and predict in. A checkpoint stores f32
+# weights and boxes, so f64 training bought no precision that a save keeps.
+DTYPE = np.float32
 
 
 @dataclass
@@ -229,9 +240,14 @@ class Discriminator:
         return self.heads(x, train)[0]
 
 
+def player_dtype(player):
+    """The dtype of a player's parameters, which every input to it is cast to."""
+    return player.parameters()[0].data.dtype
+
+
 def discriminate(disc: Discriminator, x: np.ndarray) -> float:
     """Probability that a single spectrum is real (eval mode)."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=player_dtype(disc))
     if x.shape != (disc.d,):
         raise ShapeError(f"discriminate: expected shape ({disc.d},), got {x.shape}")
     with ad.no_grad():
@@ -281,7 +297,7 @@ class Classifier:
 
 def classify(cls: Classifier, x: np.ndarray) -> np.ndarray:
     """Softmax class probabilities for a single spectrum (eval mode)."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=player_dtype(cls))
     if x.shape != (cls.d,):
         raise ShapeError(f"classify: expected shape ({cls.d},), got {x.shape}")
     with ad.no_grad():
@@ -320,7 +336,7 @@ def _take_cols(x: ad.Tensor, cols: np.ndarray) -> ad.Tensor:
 
 def predict_labels(cls, samples: np.ndarray, batch: int = 256) -> np.ndarray:
     """Argmax class predictions in eval mode, batched over the sample matrix."""
-    samples = np.asarray(samples, dtype=np.float64)
+    samples = np.asarray(samples, dtype=player_dtype(cls))
     preds = np.empty(samples.shape[0], dtype=np.int64)
     with ad.no_grad():
         for start in range(0, samples.shape[0], batch):
@@ -356,11 +372,13 @@ def generator_plan(mode: str, n: int, noise_dim: int) -> tuple[int, int]:
 
 def build_players(mode: str, n: int, d: int, noise_dim: int, domains: list[ClassDomain],
                   rng: np.random.Generator) -> Players:
-    """The players of `mode`, initialised from rng in the order G, D, C.
+    """The players of `mode`, initialised from rng in the order G, D, C, in DTYPE.
 
     mgsgan: one expert per class plus its box; acsgan: one generator
     conditioned by a one-hot class code; achsgan: the acsgan generator and a
     discriminator with N+1 outputs whose first N act as the classifier.
+    The weights are drawn in f64 and then cast, so the draws do not depend on
+    DTYPE.
     """
     if mode not in MODES:
         raise ContractError(f"build_players: unknown mode {mode!r}")
@@ -370,19 +388,30 @@ def build_players(mode: str, n: int, d: int, noise_dim: int, domains: list[Class
         gen = GeneratorBank(gen, domains)
     if mode == "achsgan":
         disc = Discriminator(d, rng, n_out=n + 1)
-        return Players(gen, disc, HeadClassifier(disc, n))
-    disc = Discriminator(d, rng, n_out=1)
-    return Players(gen, disc, Classifier(d, n, rng))
+        players = Players(gen, disc, HeadClassifier(disc, n))
+    else:
+        disc = Discriminator(d, rng, n_out=1)
+        players = Players(gen, disc, Classifier(d, n, rng))
+    for player in players.trainable().values():
+        for p in player.parameters():
+            p.data = p.data.astype(DTYPE)
+        for layer in getattr(player, "layers", []):  # the generator has no batch norm
+            if isinstance(layer, BatchNorm1d):
+                layer.running_mean = layer.running_mean.astype(DTYPE)
+                layer.running_var = layer.running_var.astype(DTYPE)
+    return players
 
 
 def generate(gen: GeneratorBank | Generator, z: np.ndarray, classes: np.ndarray) -> ad.Tensor:
     """Fake samples of `classes` from noise z: one generator call for the whole batch.
 
     A bank picks each row's class generator and box; a conditional generator
-    reads the one-hot class code appended to z.
+    reads the one-hot class code appended to z. The input is cast to the
+    generator's dtype.
     """
+    dtype = player_dtype(gen)
     if isinstance(gen, GeneratorBank):
-        return gen.generate_batch(ad.const(z), classes)
+        return gen.generate_batch(ad.const(z, dtype=dtype), classes)
     n = gen.in_dim - z.shape[1]
     onehot = np.eye(n)[_class_ids(classes, n, "generate")]
-    return gen.forward(ad.const(np.concatenate([z, onehot], axis=1)))
+    return gen.forward(ad.const(np.concatenate([z, onehot], axis=1), dtype=dtype))

@@ -46,8 +46,8 @@ from .data import SpectralDataset, class_priors
 from .errors import ContractError, NumericError, TrainingAborted
 from .layers import Adam
 from .losses import ClampLog, ClassPriors, loss_c, loss_d, loss_g
-from .models import (MODES, Classifier, Discriminator, HeadClassifier, build_players,
-                     compute_class_domains, generate)
+from .models import (DTYPE, MODES, ClassDomain, Classifier, Discriminator, HeadClassifier,
+                     build_players, compute_class_domains, generate, player_dtype)
 
 NOISE_DISTS = ("normal", "normal-shifted", "uniform")
 PRIOR_MODES = ("empirical", "uniform")
@@ -168,6 +168,22 @@ def _draw_noise(rng: np.random.Generator, n: int, dim: int, dist: str) -> np.nda
     return rng.uniform(-1.0, 1.0, size=(n, dim))
 
 
+def _boxes_in_dtype(domains: list[ClassDomain]) -> list[ClassDomain]:
+    """The boxes with each bound rounded outward to the nearest DTYPE value.
+
+    The clamp runs in DTYPE, so with these bounds the clamp, `contains` and the
+    checkpoint see the same numbers, and each box still holds every sample it
+    held before.
+    """
+    out = []
+    for dom in domains:
+        lo, hi = dom.lower.astype(DTYPE), dom.upper.astype(DTYPE)
+        lo = np.where(lo > dom.lower, np.nextafter(lo, DTYPE(-np.inf)), lo)
+        hi = np.where(hi < dom.upper, np.nextafter(hi, DTYPE(np.inf)), hi)
+        out.append(ClassDomain(dom.class_id, lo, hi))
+    return out
+
+
 class _Freezer:
     """Holds every player but `active` fixed for the with block.
 
@@ -195,12 +211,18 @@ class _Freezer:
 
 @blas.single_thread()
 def train(train_ds: SpectralDataset, config: TrainConfig, checkpoint_dir=None) -> TrainResult:
-    """Run the configured game on a (normalized) training split, on one BLAS thread.
+    """Run the configured game on a normalized training split, on one BLAS thread.
 
-    With `checkpoint_dir` set and config.checkpoint_interval > 0, a checkpoint
-    file `epoch_<k>.mgsg` is written every interval epochs.
+    Every sample must lie in [-1, 1], the range of the generator's tanh and of
+    `normalize_pair`. With `checkpoint_dir` set and config.checkpoint_interval
+    > 0, a checkpoint file `epoch_<k>.mgsg` is written every interval epochs.
     """
     train_ds.require_all_classes()
+    outside = np.abs(train_ds.samples) > 1.0
+    if outside.any():  # the generator could not reach it, and the box would pin its bands
+        row, band = np.argwhere(outside)[0]
+        raise ContractError(f"train: sample {row}, band {band} is {train_ds.samples[row, band]}, "
+                            "outside [-1, 1]; normalize the data first (normalize_pair)")
     if config.batch > train_ds.size:
         raise ContractError(
             f"train: batch {config.batch} exceeds training-set size {train_ds.size}"
@@ -214,7 +236,7 @@ def train(train_ds: SpectralDataset, config: TrainConfig, checkpoint_dir=None) -
     rng_class = np.random.default_rng([config.seed, 13])
 
     priors = class_priors(train_ds, config.prior_mode)
-    domains = compute_class_domains(train_ds, config.domain_margin)
+    domains = _boxes_in_dtype(compute_class_domains(train_ds, config.domain_margin))
 
     all_players = build_players(config.mode, n, d, config.noise_dim, domains, rng_init)
     players = all_players.trainable()
@@ -305,7 +327,7 @@ def _aborts_at(epoch, batch, last_good, worker, clamps):
 
 def _train_batch(config, players, adams, priors, train_ds, idx, z, classes,
                  worker, clamps) -> dict:
-    real_x = ad.const(train_ds.samples[idx])
+    real_x = ad.const(train_ds.samples[idx], dtype=player_dtype(players["d"]))
     real_y = train_ds.labels[idx]
     # With a worker, C(b) goes to it as soon as batch b exists, and only then is
     # C(b-1)'s reply read, so the worker never waits for this process.
@@ -385,8 +407,10 @@ def _serve_classifier(conn, parent_end, cls, adam, train_ds, priors, clamps):
             try:
                 for p in adam.params:
                     p.grad = None
-                lc = loss_c(cls, ad.const(train_ds.samples[idx]), train_ds.labels[idx],
-                            ad.const(fake), classes, priors, train=True, clamps=clamps)
+                dtype = player_dtype(cls)
+                lc = loss_c(cls, ad.const(train_ds.samples[idx], dtype=dtype), train_ds.labels[idx],
+                            ad.const(fake, dtype=dtype), classes, priors, train=True,
+                            clamps=clamps)
                 ad.backward(lc)
                 adam.step()
                 reply = (lc.item(), None)

@@ -41,31 +41,31 @@ SRC = str(Path(mgsgan.__file__).resolve().parent.parent)
 
 PINNED = {
     "mgsgan": {
-        "checkpoint.mgsg": "9fe8291d9c155f8c7f7e55cac901f65fb57d111fd2937eec0a9ee4965aafb1df",
-        "runlog.jsonl": "808720081d0d3d534135913db76fb3c8512dcb3f763ccce1604923e80db020ec",
+        "checkpoint.mgsg": "3737a40ee33fdf562ec673fbbfc232fb54c6e15d5c2a3822f042db7a85e5b35e",
+        "runlog.jsonl": "e6adda14d5d73f7267b51531b2cf84bbf48ec305cd1a9f0786c3186390192ad3",
     },
     "acsgan": {
-        "checkpoint.mgsg": "a2b1bcb5386ef18168aa64358ae18d152d871b2a80564f8928ac1a38bad82845",
-        "runlog.jsonl": "9b5527a0b08a5e0dfde1787904143759c704149d1b957f0f67289399fc32d622",
+        "checkpoint.mgsg": "039bd3c0c624f971d3bfe33fc8ab421244d17ca7c40a2be86dd7c5f4abd310cb",
+        "runlog.jsonl": "cc00d7b55b55bc7f690b46a3b0b4ec3fc39864503631acbc77be4276966f2a8d",
     },
     "achsgan": {
-        "checkpoint.mgsg": "6fb41db918d2ed8ad068bbcdd8d82efb2db3c6591b483bf30961ffda2deec47f",
-        "runlog.jsonl": "c1e85730a24c106540fd8c15cd3e9e81e5299477c0b72ff18eb52633e95b5882",
+        "checkpoint.mgsg": "f04972fed8b961cdbfa703c74665ecd7f2cda897634908c9f452042131d29bd1",
+        "runlog.jsonl": "57458d9875aeed01a62fe70202484fb0d1eb46be9bb7f28c43af11c1056e803a",
     },
 }
-PINNED_EXPORT = "c06060bfa553797872383679984c3dfe0ce7b1c33c124774138bc11a974224f2"
+PINNED_EXPORT = "1ac88aad7ecb325f8ed12e63025d892da3bc857ed58b1a1dd3655afaa1df9b4f"
 PINNED_WIDE = {
     "mgsgan": {
-        "checkpoint.mgsg": "5928ab2b7f36c89b1b6d8eed1980d866abe58e9317f1aab8232ec1f974c77575",
-        "runlog.jsonl": "bb2fa5298e55e703b0057156941cda11eb466fc5e764e3b7a42a34e05209ca56",
+        "checkpoint.mgsg": "cab35225ce8c988ad0bb57640d25a0e75750a074ae0f3575d498f3ccae655160",
+        "runlog.jsonl": "a2aecf604fe263a6013c62a5722816bf4504eeaf8aa4950266ca7f0eb8332563",
     },
     "acsgan": {
-        "checkpoint.mgsg": "f772b76871da0835b207138946b870ba75e812cd7612a6c7d2f06549147f60e4",
-        "runlog.jsonl": "3e011bbb44c63b5ae821f257f36eaff7288a79b3508b1d142e7dc84bad29c030",
+        "checkpoint.mgsg": "d9201bec05232adf3d8385ab7d4bd6b980af0569cca2a2a7e6eb50d7007425cf",
+        "runlog.jsonl": "65ce007128abf398703d63b8b010c14b3b7c44710f2f7a132ad3033aa6d0e09c",
     },
     "achsgan": {
-        "checkpoint.mgsg": "60e0fe1c3a32192c7a5296a3f8055a1a99da035aa64a506f92992702dae3d82e",
-        "runlog.jsonl": "867734771b11e628639bf6f5e5e7dfa9270f68e394be0694b2dd82c525776bea",
+        "checkpoint.mgsg": "87aa69ffd713c9b810909bbb375ddfc5e18485d4dc2d23e76d4c7a0ec8276ee3",
+        "runlog.jsonl": "6d317c0de92351c3b724937722fcd93b05ccbe865098e46aae64e9ce37f5a887",
     },
 }
 
