@@ -43,7 +43,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False, _parents=(), _vjp=None):
         if not isinstance(data, np.ndarray):  # a numpy scalar keeps its dtype
-            data = np.asarray(data, dtype=data.dtype if isinstance(data, np.generic) else np.float64)
+            data = np.asarray(data, dtype=getattr(data, "dtype", np.float64))
         self.data = data
         self.requires_grad = requires_grad
         self.grad = None

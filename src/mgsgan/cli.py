@@ -272,6 +272,14 @@ def _checkpoint_for(ckpt_path, ds: SpectralDataset) -> LoadedCheckpoint:
     return ck
 
 
+def _one_mode(ckpts: list[Path], loaded: list[LoadedCheckpoint]):
+    """DataError unless every checkpoint is of one mode: a report names a single model."""
+    odd = next((i for i, ck in enumerate(loaded) if ck.mode != loaded[0].mode), None)
+    if odd is not None:
+        raise DataError(f"checkpoints of two modes: {ckpts[0]} is {loaded[0].mode} and "
+                        f"{ckpts[odd]} is {loaded[odd].mode}; evaluate one mode at a time")
+
+
 def _predictions_for(ckpt_path: Path, test_n: SpectralDataset) -> tuple[str, np.ndarray]:
     """(mode, test-set predictions) of one checkpoint."""
     ck = _checkpoint_for(ckpt_path, test_n)
@@ -284,10 +292,12 @@ def _cmd_eval(args) -> int:
     _train_n, test_n = _prepared_split(args.data, args.tttr, args.split_seed)
     ckpts = _discover_checkpoints(args.run_dir or args.checkpoint)
     seeds = [_run_seed(p, i) for i, p in enumerate(ckpts)]
-    modes, preds = zip(*(_predictions_for(p, test_n) for p in ckpts))
+    loaded = [_checkpoint_for(p, test_n) for p in ckpts]
+    _one_mode(ckpts, loaded)
+    preds = [predict_labels(ck.classifier, test_n.samples) for ck in loaded]
     cms = [ConfusionMatrix.from_predictions(test_n.labels, pr, test_n.class_count)
            for pr in preds]
-    report = EvalReport.from_runs(modes[0], cms, seeds)
+    report = EvalReport.from_runs(loaded[0].mode, cms, seeds)
     report.notes["tttr"] = args.tttr
     report.notes["split_seed"] = args.split_seed
     if args.compare:

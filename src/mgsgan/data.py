@@ -153,6 +153,13 @@ def save_csv(path, ds: SpectralDataset):
 
 
 def load_csv(path) -> SpectralDataset:
+    try:
+        return _read_csv(path)
+    except UnicodeDecodeError as exc:  # a binary file, say a checkpoint
+        raise DataError(f"{path}: not a UTF-8 text CSV file ({exc.reason})") from None
+
+
+def _read_csv(path) -> SpectralDataset:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         try:
@@ -272,6 +279,10 @@ def make_synthetic(seed: int, n_classes: int, d: int, sizes,
     """
     if seed < 0:
         raise ContractError(f"make_synthetic: seed must be >= 0, got {seed}")
+    if n_classes < 1:
+        raise ContractError(f"make_synthetic: need at least one class, got {n_classes}")
+    if d < 4:  # the generator's two upsampling steps need 4
+        raise ContractError(f"make_synthetic: need at least 4 bands, got {d}")
     sizes = [int(s) for s in sizes]
     if len(sizes) != n_classes:
         raise ContractError(f"make_synthetic: got {len(sizes)} sizes for {n_classes} classes")

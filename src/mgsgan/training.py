@@ -408,9 +408,9 @@ def _serve_classifier(conn, parent_end, cls, adam, train_ds, priors, clamps):
                 for p in adam.params:
                     p.grad = None
                 dtype = player_dtype(cls)
-                lc = loss_c(cls, ad.const(train_ds.samples[idx], dtype=dtype), train_ds.labels[idx],
-                            ad.const(fake, dtype=dtype), classes, priors, train=True,
-                            clamps=clamps)
+                lc = loss_c(cls, ad.const(train_ds.samples[idx], dtype=dtype),
+                            train_ds.labels[idx], ad.const(fake, dtype=dtype), classes, priors,
+                            train=True, clamps=clamps)
                 ad.backward(lc)
                 adam.step()
                 reply = (lc.item(), None)

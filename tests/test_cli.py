@@ -385,3 +385,33 @@ def test_export_spectra_class_filter_and_unknown_class(tmp_path):
                "--tttr", "0.5", "--samples", "4", "--classes", "7",
                "--out", str(tmp_path / "bad.csv")])
     assert rc == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["synth", "--classes", "0", "--bands", "8", "--sizes", ""], EXIT_USAGE, "at least one class"),
+    (["synth", "--classes", "1", "--bands", "0", "--sizes", "5"], EXIT_USAGE, "at least 4 bands"),
+    (["eval", "--data", "{binary}", "--checkpoint", "{binary}", "--tttr", "0.5"], EXIT_DATA,
+     "not a UTF-8 text CSV file"),
+], ids=["no-classes", "no-bands", "binary-data"])
+def test_bad_input_exits_with_its_code_and_no_traceback(tmp_path, capsys, argv, code, message):
+    binary = tmp_path / "blob.csv"
+    binary.write_bytes(bytes(range(256)) * 4)
+    argv = [a.format(binary=binary) for a in argv] + ["--out", str(tmp_path / "out.csv")]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_eval_run_dir_of_two_modes_is_data_error(tmp_path, capsys):
+    data = _synth(tmp_path)
+    out = tmp_path / "run"
+    for mode, seed in (("mgsgan", "0"), ("acsgan", "1")):
+        main(["train", "--data", str(data), "--out", str(out), "--epochs", "0", "--mode", mode,
+              "--tttr", "0.5", "--batch", "16", "--seeds", seed])
+    rc = main(["eval", "--data", str(data), "--run-dir", str(out),
+               "--tttr", "0.5", "--out", str(tmp_path / "rep")])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    for mode, seed in (("mgsgan", "0"), ("acsgan", "1")):
+        assert f"{out / f'seed_{seed}' / 'checkpoint.mgsg'} is {mode}" in err
+    assert not (tmp_path / "rep.json").exists()

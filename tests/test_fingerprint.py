@@ -16,11 +16,11 @@ another order and gave other wide mgsgan and acsgan checkpoints.
 
 The bits also depend on the kernels picked for the CPU: OpenBLAS's GEMM
 kernel set and numpy's SIMD loops for exp, log and tanh (AVX-512 and AVX2 code
-round some results differently). Each `train` and `export-spectra` therefore
-runs in a child process whose environment fixes both at the AVX2 level that
-every x86-64 CI runner has (`PORTABLE_ENV`); both must be set before numpy
-loads, hence the child. The data sets are made by `synth` in such a child too. The pins then hold on any x86-64 CPU with AVX2, but
-not on another architecture.
+round some results differently). Each `synth`, `train` and `export-spectra`
+therefore runs in a child process whose environment fixes both at the AVX2
+level that every x86-64 CI runner has (`PORTABLE_ENV`); both must be set
+before numpy loads, hence the child. The pins then hold on any x86-64 CPU
+with AVX2, but not on another architecture.
 """
 
 import hashlib
