@@ -272,20 +272,6 @@ def _checkpoint_for(ckpt_path, ds: SpectralDataset) -> LoadedCheckpoint:
     return ck
 
 
-def _one_mode(ckpts: list[Path], loaded: list[LoadedCheckpoint]):
-    """DataError unless every checkpoint is of one mode: a report names a single model."""
-    odd = next((i for i, ck in enumerate(loaded) if ck.mode != loaded[0].mode), None)
-    if odd is not None:
-        raise DataError(f"checkpoints of two modes: {ckpts[0]} is {loaded[0].mode} and "
-                        f"{ckpts[odd]} is {loaded[odd].mode}; evaluate one mode at a time")
-
-
-def _predictions_for(ckpt_path: Path, test_n: SpectralDataset) -> tuple[str, np.ndarray]:
-    """(mode, test-set predictions) of one checkpoint."""
-    ck = _checkpoint_for(ckpt_path, test_n)
-    return ck.mode, predict_labels(ck.classifier, test_n.samples)
-
-
 def _cmd_eval(args) -> int:
     if (args.run_dir is None) == (args.checkpoint is None):
         raise _UsageError("eval needs exactly one of --run-dir or --checkpoint")
@@ -293,7 +279,10 @@ def _cmd_eval(args) -> int:
     ckpts = _discover_checkpoints(args.run_dir or args.checkpoint)
     seeds = [_run_seed(p, i) for i, p in enumerate(ckpts)]
     loaded = [_checkpoint_for(p, test_n) for p in ckpts]
-    _one_mode(ckpts, loaded)
+    odd = next((i for i, ck in enumerate(loaded) if ck.mode != loaded[0].mode), None)
+    if odd is not None:  # a report names one model
+        raise DataError(f"checkpoints of two modes: {ckpts[0]} is {loaded[0].mode} and "
+                        f"{ckpts[odd]} is {loaded[odd].mode}; evaluate one mode at a time")
     preds = [predict_labels(ck.classifier, test_n.samples) for ck in loaded]
     cms = [ConfusionMatrix.from_predictions(test_n.labels, pr, test_n.class_count)
            for pr in preds]
@@ -302,8 +291,9 @@ def _cmd_eval(args) -> int:
     report.notes["split_seed"] = args.split_seed
     if args.compare:
         other = _discover_checkpoints(args.compare)[0]
-        other_mode, other_pred = _predictions_for(other, test_n)
-        report.mcnemar_vs[other_mode] = mcnemar(preds[0], other_pred, test_n.labels)
+        other_ck = _checkpoint_for(other, test_n)
+        other_pred = predict_labels(other_ck.classifier, test_n.samples)
+        report.mcnemar_vs[other_ck.mode] = mcnemar(preds[0], other_pred, test_n.labels)
         report.notes["mcnemar_checkpoints"] = [str(ckpts[0]), str(other)]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -7,7 +7,9 @@ over the batch (`_log_likelihood`). The losses read the discriminator through
 class terms, so the same two losses serve every mode. Probabilities are
 clamped to [PROB_EPS, 1 - PROB_EPS] before any log so a saturated player
 yields a large but finite loss; a run's `ClampLog`, passed to the losses,
-records whether a clamp actually fired, and the run logs that once.
+records whether a clamp actually changed a probability, and the run logs
+that once. The bounds are taken in the probability's dtype: in f32,
+1 - PROB_EPS is 0.99999988, below the largest f32 value under 1.
 
 The oracle half of the module works on plain discrete distributions and gives
 closed-form references for the optimal discriminator and the value of the
@@ -47,15 +49,16 @@ class ClampLog:
     def warn_once(self):
         """Log the run's clamp warning if a clamp has fired and it is not yet logged."""
         if self.hit and not self._warned:
-            logger.warning("probability hit 0/1; clamped to [%.0e, 1-%.0e]", PROB_EPS, PROB_EPS)
+            logger.warning("probability outside [%.0e, 1-%.0e]; clamped", PROB_EPS, PROB_EPS)
             self._warned = True
 
 
 def _safe_log(p: ad.Tensor, clamps: ClampLog | None = None) -> ad.Tensor:
-    """log(p) with p clamped into [PROB_EPS, 1 - PROB_EPS]; marks `clamps` when a clamp fires."""
-    if clamps is not None and not clamps.hit and bool(np.any((p.data <= 0.0) | (p.data >= 1.0))):
+    """log(p) with p clamped into [PROB_EPS, 1 - PROB_EPS]; marks `clamps` when that moves a value."""
+    safe = ad.clamp(p, PROB_EPS, 1.0 - PROB_EPS)
+    if clamps is not None and not clamps.hit and not np.array_equal(safe.data, p.data):
         clamps.hit = True
-    return ad.log(ad.clamp(p, PROB_EPS, 1.0 - PROB_EPS))
+    return ad.log(safe)
 
 
 @dataclass

@@ -19,6 +19,7 @@ from mgsgan.checkpoint import load_checkpoint_bytes
 from mgsgan.data import SpectralDataset
 from mgsgan.errors import ContractError
 from mgsgan.layers import Adam, BatchNorm1d
+from mgsgan.losses import ClampLog, _safe_log
 from mgsgan.models import DTYPE, MODES, Classifier, compute_class_domains
 from mgsgan.training import TrainConfig, train
 
@@ -128,3 +129,14 @@ def test_train_rejects_samples_outside_the_unit_range():
     edge[0, :] = 1.0
     edge[1, :] = -1.0
     train(SpectralDataset(edge, ds.labels, ds.class_count), TrainConfig(epochs=0, batch=16))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_a_probability_clamp_is_recorded_whenever_it_moves_a_value(dtype):
+    # 1 - PROB_EPS rounds to 0.99999988 in f32, so the largest f32 below 1 is
+    # clamped, with a zero gradient, though it is neither 0 nor 1
+    top = np.nextafter(dtype(1), dtype(0))
+    for values, moved in (([0.5, 0.25], False), ([0.5, top], True), ([0.0, 0.5], True)):
+        clamps = ClampLog()
+        _safe_log(ad.const(values, dtype=dtype), clamps)
+        assert clamps.hit == moved
