@@ -657,7 +657,8 @@ def backward(loss: Tensor):
                 acc = grads.get(parent._id)
                 grads[parent._id] = pg if acc is None else acc + pg
         elif t.requires_grad:
-            t.grad = g.copy() if t.grad is None else t.grad + g
+            # stored, not copied: no VJP, optimizer or update writes into a gradient
+            t.grad = g if t.grad is None else t.grad + g
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from . import blas
 from .checkpoint import LoadedCheckpoint, load_checkpoint
-from .data import (SpectralDataset, SplitSpec, load_dataset, make_synthetic,
+from .data import (SpectralDataset, SplitSpec, dataset_digest, load_dataset, make_synthetic,
                    normalize_pair, save_dataset, split_tttr)
 from .errors import ContractError, DataError, MgsganError, NumericError, TrainingAborted
 from .evaluation import ConfusionMatrix, EvalReport, mcnemar
@@ -272,10 +272,34 @@ def _checkpoint_for(ckpt_path, ds: SpectralDataset) -> LoadedCheckpoint:
     return ck
 
 
+def _split_checked(ckpt_path, digest: str, args) -> bool:
+    """Whether a run log beside the checkpoint names the split; DataError if another one.
+
+    `train` records the digest of the normalized training split in the meta
+    line of each run's runlog.jsonl; --data, --tttr and --split-seed must give
+    that split again, or the test rows would overlap the training rows.
+    """
+    runlog = Path(ckpt_path).parent / "runlog.jsonl"
+    if not runlog.is_file():
+        return False
+    try:
+        with open(runlog, encoding="utf-8") as fh:
+            trained_on = json.loads(fh.readline())["meta"]["dataset_digest"]
+    except (ValueError, KeyError, TypeError):  # bad JSON or UTF-8, or no such field
+        raise DataError(f"{runlog}: first line is not a run log meta line with a "
+                        "dataset_digest") from None
+    if trained_on != digest:
+        raise DataError(f"{ckpt_path} was trained on another split: {runlog} records training "
+                        f"split {trained_on}, but --data {args.data} --tttr {args.tttr} "
+                        f"--split-seed {args.split_seed} give {digest}; pass the values "
+                        "it was trained with")
+    return True
+
+
 def _cmd_eval(args) -> int:
     if (args.run_dir is None) == (args.checkpoint is None):
         raise _UsageError("eval needs exactly one of --run-dir or --checkpoint")
-    _train_n, test_n = _prepared_split(args.data, args.tttr, args.split_seed)
+    train_n, test_n = _prepared_split(args.data, args.tttr, args.split_seed)
     ckpts = _discover_checkpoints(args.run_dir or args.checkpoint)
     seeds = [_run_seed(p, i) for i, p in enumerate(ckpts)]
     loaded = [_checkpoint_for(p, test_n) for p in ckpts]
@@ -283,15 +307,20 @@ def _cmd_eval(args) -> int:
     if odd is not None:  # a report names one model
         raise DataError(f"checkpoints of two modes: {ckpts[0]} is {loaded[0].mode} and "
                         f"{ckpts[odd]} is {loaded[odd].mode}; evaluate one mode at a time")
+    other = _discover_checkpoints(args.compare)[0] if args.compare else None
+    other_ck = _checkpoint_for(other, test_n) if other else None
+    digest = dataset_digest(train_n)
+    unchecked = [str(p) for p in ckpts + ([other] if other else [])
+                 if not _split_checked(p, digest, args)]
     preds = [predict_labels(ck.classifier, test_n.samples) for ck in loaded]
     cms = [ConfusionMatrix.from_predictions(test_n.labels, pr, test_n.class_count)
            for pr in preds]
     report = EvalReport.from_runs(loaded[0].mode, cms, seeds)
     report.notes["tttr"] = args.tttr
     report.notes["split_seed"] = args.split_seed
-    if args.compare:
-        other = _discover_checkpoints(args.compare)[0]
-        other_ck = _checkpoint_for(other, test_n)
+    if unchecked:  # no runlog.jsonl beside them
+        report.notes["split_not_checked"] = unchecked
+    if other:
         other_pred = predict_labels(other_ck.classifier, test_n.samples)
         report.mcnemar_vs[other_ck.mode] = mcnemar(preds[0], other_pred, test_n.labels)
         report.notes["mcnemar_checkpoints"] = [str(ckpts[0]), str(other)]
@@ -314,6 +343,9 @@ def _cmd_export_spectra(args) -> int:
         raise _UsageError("--samples must be >= 1")
     train_n, _test_n = _prepared_split(args.data, args.tttr, args.split_seed)
     ck = _checkpoint_for(args.checkpoint, train_n)
+    if not _split_checked(args.checkpoint, dataset_digest(train_n), args):
+        print(f"note: no runlog.jsonl beside {args.checkpoint}; the split was not checked",
+              file=sys.stderr)
     if args.classes == "all":
         class_ids = list(range(ck.n_classes))
     else:

@@ -3,7 +3,16 @@
 File formats
 ------------
 CSV: header line "d=<int>,N=<int>", then one row per sample holding d floats
-followed by an integer label in [0, N).
+followed by an integer label in [0, N). A field may be padded with whitespace,
+and blank and whitespace-only lines are skipped. numpy's C reader
+(`np.loadtxt`) parses the body when every line is a row of d + 1 fields in
+ASCII decimal notation with an integer label, and the samples are finite, the
+labels in range and every class present. Any other text falls back to a loop
+of Python's float() and int() per line: a whitespace-only line, an underscore
+in a number ("1_0"), a non-ASCII digit, a label written "1.0", a row of the
+wrong length, an empty body. The loop reads what it can and raises the
+DataError naming the line for what it cannot, so both readers give a file the
+same samples and labels, bit for bit, or the same error.
 
 BIN: little-endian; magic "MGSD", version u32, M u32, d u32, N u32, a u8 flag
 for the normalization record (followed, when set, by two f64 arrays of length
@@ -17,8 +26,11 @@ fitted on; applying it to other data clips into [-1, 1].
 
 from __future__ import annotations
 
+import hashlib
 import math
+import os
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +51,13 @@ class Normalization:
 
     def apply(self, samples: np.ndarray) -> np.ndarray:
         span = np.where(self.band_max > self.band_min, self.band_max - self.band_min, 1.0)
-        scaled = 2.0 * (samples - self.band_min) / span - 1.0
-        return np.clip(scaled, -1.0, 1.0)
+        # 2 (x - min) / span - 1, clipped, with the formula's rounding steps in
+        # one buffer: no temporary the size of the samples
+        scaled = np.subtract(samples, self.band_min, dtype=np.float64)
+        np.multiply(scaled, 2.0, out=scaled)
+        np.divide(scaled, span, out=scaled)
+        np.subtract(scaled, 1.0, out=scaled)
+        return np.clip(scaled, -1.0, 1.0, out=scaled)
 
 
 @dataclass
@@ -116,6 +133,14 @@ def split_tttr(ds: SpectralDataset, spec: SplitSpec) -> tuple[SpectralDataset, S
     return train, test
 
 
+def dataset_digest(ds: SpectralDataset) -> str:
+    """Short sha256 of the samples and labels; a run log records its training split's."""
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(ds.samples, dtype="<f8").tobytes())
+    h.update(np.ascontiguousarray(ds.labels, dtype="<i8").tobytes())
+    return h.hexdigest()[:16]
+
+
 def fit_normalization(train: SpectralDataset) -> Normalization:
     return Normalization(train.samples.min(axis=0).copy(), train.samples.max(axis=0).copy())
 
@@ -160,16 +185,50 @@ def load_csv(path) -> SpectralDataset:
 
 
 def _read_csv(path) -> SpectralDataset:
+    """numpy's C reader's dataset when it takes the body and the data passes its
+    checks; otherwise the per-line loop's, which also words every error."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
+        d, n = _read_header(fh, path)
+        # A body too short for one row of d + 1 fields is refused without the C
+        # reader, whose set-up costs memory per column before it reads a row.
+        body = None
+        if 2 * d + 1 <= os.fstat(fh.fileno()).st_size:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # an empty body; "1.0" as a label on old numpy
+                    body = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1,
+                                      dtype=[("samples", "f8", (d,)), ("label", "i8")])
+            except (ValueError, Warning):
+                pass
+    if body is not None:
         try:
-            d_part, n_part = header.split(",")
-            d = int(d_part.removeprefix("d="))
-            n = int(n_part.removeprefix("N="))
-            if d_part[:2] != "d=" or n_part[:2] != "N=" or d < 1 or n < 1:
-                raise ValueError
-        except ValueError:
-            raise DataError(f"{path}: line 1: expected header 'd=<int>,N=<int>', got {header!r}")
+            ds = SpectralDataset(np.ascontiguousarray(body["samples"]),
+                                 np.ascontiguousarray(body["label"]), n)
+            ds.require_all_classes()
+            return ds
+        except DataError:
+            pass
+    return _read_csv_lines(path)
+
+
+def _read_header(fh, path) -> tuple[int, int]:
+    """(d, N) from the header line "d=<int>,N=<int>"."""
+    header = fh.readline().strip()
+    try:
+        d_part, n_part = header.split(",")
+        d = int(d_part.removeprefix("d="))
+        n = int(n_part.removeprefix("N="))
+        if d_part[:2] != "d=" or n_part[:2] != "N=" or d < 1 or n < 1:
+            raise ValueError
+    except ValueError:
+        raise DataError(f"{path}: line 1: expected header 'd=<int>,N=<int>', got {header!r}")
+    return d, n
+
+
+def _read_csv_lines(path) -> SpectralDataset:
+    """The CSV read one line and one Python float() at a time."""
+    with open(path, "r", encoding="utf-8") as fh:
+        d, n = _read_header(fh, path)
         samples, labels = [], []
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
@@ -205,35 +264,38 @@ def save_bin(path, ds: SpectralDataset):
 
 def load_bin(path) -> SpectralDataset:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _BIN_MAGIC:
-        raise DataError(f"{path}: bad magic, not a dataset file")
-    off = 4 + 16 + 1
-    if len(blob) < off:
-        raise DataError(f"{path}: truncated dataset header ({len(blob)} bytes)")
-    version, m, d, n, has_norm = struct.unpack_from("<IIIIB", blob, 4)
-    if version != _BIN_VERSION:
-        raise DataError(f"{path}: unsupported dataset format version {version}")
-    # Every size is checked against the file before anything is allocated.
-    if has_norm not in (0, 1) or d < 1 or not 1 <= n <= m:
-        raise DataError(f"{path}: corrupt dataset header (M={m}, d={d}, N={n}, "
-                        f"normalization flag {has_norm}); N classes need 1 <= N <= M rows")
-    need = off + 16 * d * has_norm + 8 * m * d + 8 * m
-    if len(blob) != need:
-        raise DataError(f"{path}: truncated dataset file ({len(blob)} bytes, expected {need})")
-    norm = None
-    if has_norm:
-        band_min = np.frombuffer(blob, dtype="<f8", count=d, offset=off).copy()
-        off += 8 * d
-        band_max = np.frombuffer(blob, dtype="<f8", count=d, offset=off).copy()
-        off += 8 * d
-        norm = Normalization(band_min, band_max)
-    samples = np.frombuffer(blob, dtype="<f8", count=m * d, offset=off).reshape(m, d).copy()
-    off += 8 * m * d
-    labels = np.frombuffer(blob, dtype="<i8", count=m, offset=off).copy()
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(4 + 16 + 1)
+        if head[:4] != _BIN_MAGIC:
+            raise DataError(f"{path}: bad magic, not a dataset file")
+        if len(head) < 4 + 16 + 1:
+            raise DataError(f"{path}: truncated dataset header ({size} bytes)")
+        version, m, d, n, has_norm = struct.unpack_from("<IIIIB", head, 4)
+        if version != _BIN_VERSION:
+            raise DataError(f"{path}: unsupported dataset format version {version}")
+        # Every size is checked against the file before anything is allocated.
+        if has_norm not in (0, 1) or d < 1 or not 1 <= n <= m:
+            raise DataError(f"{path}: corrupt dataset header (M={m}, d={d}, N={n}, "
+                            f"normalization flag {has_norm}); N classes need 1 <= N <= M rows")
+        need = len(head) + 16 * d * has_norm + 8 * m * d + 8 * m
+        if size != need:
+            raise DataError(f"{path}: truncated dataset file ({size} bytes, expected {need})")
+        norm = None
+        if has_norm:
+            norm = Normalization(_read_array(fh, path, "<f8", d), _read_array(fh, path, "<f8", d))
+        samples = _read_array(fh, path, "<f8", (m, d))
+        labels = _read_array(fh, path, "<i8", m)
     ds = SpectralDataset(samples, labels, n, normalization=norm)
     ds.require_all_classes()
     return ds
+
+
+def _read_array(fh, path, dtype, shape) -> np.ndarray:
+    """The next bytes of fh read straight into a new array, with no copy of the file."""
+    out = np.empty(shape, dtype=dtype)
+    if fh.readinto(out) != out.nbytes:  # the file shrank after its size was checked
+        raise DataError(f"{path}: truncated dataset file")
+    return out
 
 
 def load_dataset(path) -> SpectralDataset:

@@ -23,12 +23,15 @@ stays f64.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
+from . import blas
 from .errors import ContractError, DataError, ShapeError
 from .layers import BatchNorm1d, Conv1d, Dense, xavier_init
 
@@ -335,15 +338,35 @@ def _take_cols(x: ad.Tensor, cols: np.ndarray) -> ad.Tensor:
 
 
 def predict_labels(cls, samples: np.ndarray, batch: int = 256) -> np.ndarray:
-    """Argmax class predictions in eval mode, batched over the sample matrix."""
+    """Argmax class predictions in eval mode, batched over the sample matrix.
+
+    The batches run on a thread pool, one thread per usable CPU and at most
+    one per batch: numpy's kernels release the interpreter lock, and each
+    batch keeps the rows, shapes and kernels it has on one thread, so the
+    labels are the same. OpenBLAS runs one thread per call meanwhile, and
+    no_grad is entered here, in the calling thread, because its flag is
+    global to the process.
+    """
     samples = np.asarray(samples, dtype=player_dtype(cls))
     preds = np.empty(samples.shape[0], dtype=np.int64)
-    with ad.no_grad():
-        for start in range(0, samples.shape[0], batch):
-            chunk = samples[start : start + batch]
-            probs = cls.probs(ad.const(chunk), train=False)
-            preds[start : start + chunk.shape[0]] = probs.data.argmax(axis=1)
+    starts = range(0, samples.shape[0], batch)
+
+    def predict(start):
+        probs = cls.probs(ad.const(samples[start : start + batch]), train=False)
+        preds[start : start + batch] = probs.data.argmax(axis=1)
+
+    workers = max(1, min(_usable_cpus(), len(starts)))
+    with ad.no_grad(), blas.single_thread(), ThreadPoolExecutor(workers) as pool:
+        for _ in pool.map(predict, starts):  # re-raises a batch's error
+            pass
     return preds
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class Players(NamedTuple):

@@ -42,7 +42,7 @@ import numpy as np
 from . import autodiff as ad
 from . import blas
 from .checkpoint import _layer_record, save_checkpoint_bytes
-from .data import SpectralDataset, class_priors
+from .data import SpectralDataset, class_priors, dataset_digest
 from .errors import ContractError, NumericError, TrainingAborted
 from .layers import Adam
 from .losses import ClampLog, ClassPriors, loss_c, loss_d, loss_g
@@ -153,13 +153,6 @@ class TrainResult:
                                      self.classifier, self.domains, self.config.noise_dim)
 
 
-def _dataset_digest(ds: SpectralDataset) -> str:
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(ds.samples, dtype="<f8").tobytes())
-    h.update(np.ascontiguousarray(ds.labels, dtype="<i8").tobytes())
-    return h.hexdigest()[:16]
-
-
 def _draw_noise(rng: np.random.Generator, n: int, dim: int, dist: str) -> np.ndarray:
     if dist == "normal":
         return rng.standard_normal((n, dim))
@@ -237,6 +230,8 @@ def train(train_ds: SpectralDataset, config: TrainConfig, checkpoint_dir=None) -
 
     priors = class_priors(train_ds, config.prior_mode)
     domains = _boxes_in_dtype(compute_class_domains(train_ds, config.domain_margin))
+    lower = np.stack([dom.lower for dom in domains])  # row j: class j's box, for containment
+    upper = np.stack([dom.upper for dom in domains])
 
     all_players = build_players(config.mode, n, d, config.noise_dim, domains, rng_init)
     players = all_players.trainable()
@@ -245,7 +240,7 @@ def train(train_ds: SpectralDataset, config: TrainConfig, checkpoint_dir=None) -
 
     runlog = RunLog(meta={
         "config": config.as_dict(),
-        "dataset_digest": _dataset_digest(train_ds),
+        "dataset_digest": dataset_digest(train_ds),
         "class_sizes": train_ds.class_sizes().tolist(),
     })
     result = TrainResult(config.mode, *all_players, domains, priors, runlog, config)
@@ -274,12 +269,10 @@ def train(train_ds: SpectralDataset, config: TrainConfig, checkpoint_dir=None) -
                                          classes, worker, clamps)
                 for key in sums:
                     sums[key] += stats[key]
-                fake_vals = stats["fake_values"]
-                for j in range(n):
-                    sel = classes == j
-                    made[j] += sel.sum()
-                    if sel.any():
-                        inside[j] += int(domains[j].contains(fake_vals[sel]).sum())
+                fake = stats["fake_values"]
+                held = np.all((fake >= lower[classes]) & (fake <= upper[classes]), axis=1)
+                made += np.bincount(classes, minlength=n)
+                inside += np.bincount(classes, weights=held, minlength=n)
             if worker is not None:  # the last batch's C step, one batch behind
                 with _aborts_at(epoch, n_batches - 1, last_good, worker, clamps):
                     sums["loss_c"] += worker.result()

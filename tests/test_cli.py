@@ -285,6 +285,55 @@ def test_non_finite_data_is_data_error_before_training(tmp_path, capsys, name):
     assert capsys.readouterr().err.count("band 3 is nan") == 2
 
 
+def test_eval_and_export_on_another_split_are_data_errors(tmp_path, capsys):
+    data = _synth(tmp_path)
+    runs = {}
+    for tttr, split_seed in (("0.3", "0"), ("0.5", "4")):
+        runs[tttr] = tmp_path / f"run_{tttr}"
+        main(["train", "--data", str(data), "--out", str(runs[tttr]), "--epochs", "1",
+              "--tttr", tttr, "--split-seed", split_seed, "--batch", "16", "--seeds", "0"])
+    ckpt = {tttr: str(run / "seed_0" / "checkpoint.mgsg") for tttr, run in runs.items()}
+    cases = [  # (argv, the checkpoint of another split, the split flags given)
+        (["eval", "--run-dir", str(runs["0.3"])], ckpt["0.3"], ("0.5", "4")),
+        (["eval", "--run-dir", str(runs["0.3"]), "--compare", ckpt["0.5"]], ckpt["0.5"],
+         ("0.3", "0")),
+        (["export-spectra", "--checkpoint", ckpt["0.3"]], ckpt["0.3"], ("0.5", "4")),
+    ]
+    for argv, wrong, (tttr, split_seed) in cases:
+        capsys.readouterr()
+        rc = main(argv + ["--data", str(data), "--tttr", tttr, "--split-seed", split_seed,
+                          "--out", str(tmp_path / "rep")])
+        assert rc == EXIT_DATA, argv
+        err = capsys.readouterr().err
+        assert f"{wrong} was trained on another split" in err
+        assert f"--data {data} --tttr {tttr} --split-seed {split_seed}" in err
+    assert not list(tmp_path.glob("rep*"))
+    rc = main(["eval", "--run-dir", str(runs["0.3"]), "--data", str(data), "--tttr", "0.3",
+               "--out", str(tmp_path / "rep")])
+    assert rc == EXIT_OK
+    assert "split_not_checked" not in json.loads((tmp_path / "rep.json").read_text())["notes"]
+
+
+def test_eval_notes_a_checkpoint_without_a_run_log(tmp_path, capsys):
+    data = _synth(tmp_path)
+    out = tmp_path / "run"
+    main(["train", "--data", str(data), "--out", str(out), "--epochs", "1",
+          "--tttr", "0.5", "--batch", "16", "--seeds", "0"])
+    lone = tmp_path / "lone.mgsg"
+    lone.write_bytes((out / "seed_0" / "checkpoint.mgsg").read_bytes())
+    rc = main(["eval", "--data", str(data), "--checkpoint", str(lone), "--tttr", "0.5",
+               "--compare", str(out / "seed_0" / "checkpoint.mgsg"),
+               "--out", str(tmp_path / "rep")])
+    assert rc == EXIT_OK
+    notes = json.loads((tmp_path / "rep.json").read_text())["notes"]
+    assert notes["split_not_checked"] == [str(lone)]
+    capsys.readouterr()
+    rc = main(["export-spectra", "--checkpoint", str(lone), "--data", str(data),
+               "--tttr", "0.5", "--out", str(tmp_path / "spectra.csv")])
+    assert rc == EXIT_OK
+    assert "the split was not checked" in capsys.readouterr().err
+
+
 def test_eval_requires_exactly_one_source(tmp_path):
     data = _synth(tmp_path)
     rc = main(["eval", "--data", str(data), "--tttr", "0.5",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mgsgan
+from mgsgan import data
 from mgsgan.data import (NOISE_STD, SpectralDataset, SplitSpec,
                          class_priors, fit_normalization, load_csv, load_dataset,
                          make_synthetic, normalize_pair, save_bin, save_csv,
@@ -49,6 +50,83 @@ def test_csv_bad_header(tmp_path):
     path.write_text("bands=2\n", encoding="utf-8")
     with pytest.raises(DataError):
         load_csv(path)
+
+
+# name -> body after the header "d=3,N=2". Files the loop reads, then files it refuses.
+_CSV_READ = {
+    "plain": "0.5,-1.25,3e-5,0\n1,2,3,1\n",
+    "blank-lines": "\n0.5,-1.25,3e-5,0\n\n1,2,3,1\n\n",
+    "crlf": "0.5,-1.25,3e-5,0\r\n1,2,3,1\r\n",
+    "padded-fields": " 0.5 ,\t-1.25, 3e-5 , 0 \n+1,2.,.3,+1\n",
+    "repr-digits": "0.1,0.30000000000000004,-0.0,0\n5e-324,1.7976931348623157e+308,2,1\n",
+    "whitespace-only-line": "0.5,-1.25,3e-5,0\n   \t\n1,2,3,1\n",
+    "underscore-label": "0.5,-1.25,3e-5,0\n1,2,3,0_1\n",
+    "underscore-sample": "0.5,-1_0,3e-5,0\n1,2,3,1\n",
+}
+_CSV_REFUSED = {
+    "label-1.0": "0.5,-1.25,3e-5,0\n1,2,3,1.0\n",
+    "short-row": "0.5,-1.25,0\n1,2,3,1\n",
+    "long-row": "0.5,-1.25,3e-5,7,0\n1,2,3,1\n",
+    "trailing-comma": "0.5,-1.25,3e-5,0,\n1,2,3,1\n",
+    "hash-line": "#x\n0.5,-1.25,3e-5,0\n1,2,3,1\n",
+    "nan": "0.5,nan,3e-5,0\n1,2,3,1\n",
+    "inf": "0.5,-1.25,3e-5,0\n1,inf,3,1\n",
+    "overflow-1e400": "0.5,-1.25,1e400,0\n1,2,3,1\n",
+    "label-out-of-range": "0.5,-1.25,3e-5,0\n1,2,3,2\n",
+    "huge-label": "0.5,-1.25,3e-5,0\n1,2,3,99999999999999999999999\n",
+    "missing-class": "0.5,-1.25,3e-5,0\n1,2,3,0\n",
+    "empty-body": "",
+}
+# the files numpy's C reader takes; every other one goes to the per-line loop
+_CSV_BY_C_READER = {"plain", "blank-lines", "crlf", "padded-fields", "repr-digits"}
+
+
+@pytest.mark.parametrize("name", [*_CSV_READ, *_CSV_REFUSED])
+def test_csv_readers_agree_bit_for_bit(tmp_path, monkeypatch, name):
+    path = tmp_path / "edge.csv"
+    body = _CSV_READ.get(name, _CSV_REFUSED.get(name))
+    path.write_bytes(b"d=3,N=2\n" + body.encode("utf-8"))
+
+    def outcome(read):
+        try:
+            ds = read(path)
+        except DataError as exc:
+            return str(exc)
+        return ds.samples.tobytes(), ds.samples.shape, ds.labels.tobytes(), ds.class_count
+
+    want = outcome(data._read_csv_lines)
+    assert isinstance(want, str) == (name in _CSV_REFUSED)
+    loop_calls = []
+    loop = data._read_csv_lines
+    monkeypatch.setattr(data, "_read_csv_lines", lambda p: loop_calls.append(p) or loop(p))
+    assert outcome(data._read_csv) == want
+    assert bool(loop_calls) == (name not in _CSV_BY_C_READER)
+
+
+def test_csv_with_undecodable_body_is_data_error(tmp_path):
+    path = tmp_path / "binary.csv"
+    path.write_bytes(b"d=2,N=2\n" + bytes(range(256)) * 4)
+    with pytest.raises(DataError, match="not a UTF-8 text CSV file"):
+        load_csv(path)
+
+
+def test_csv_header_wider_than_the_file_skips_the_c_reader(tmp_path, monkeypatch):
+    # numpy's reader sets up every column before it reads a row
+    path = tmp_path / "wide.csv"
+    path.write_text("d=1000000,N=1\n1,2,0\n", encoding="utf-8")
+    monkeypatch.setattr(data.np, "loadtxt", lambda *a, **k: pytest.fail("C reader called"))
+    with pytest.raises(DataError, match="line 2: expected 1000001 fields, got 3"):
+        load_csv(path)
+
+
+def test_csv_reader_matches_the_loop_on_a_synthetic_set(tmp_path):
+    ds = make_synthetic(3, 4, 24, [30, 20, 10, 5], overlap=0.4)
+    path = tmp_path / "synth.csv"
+    save_csv(path, ds)
+    fast, slow = load_csv(path), data._read_csv_lines(path)
+    assert fast.samples.flags.c_contiguous and fast.labels.flags.c_contiguous
+    assert fast.samples.tobytes() == slow.samples.tobytes() == ds.samples.tobytes()
+    assert fast.labels.tobytes() == slow.labels.tobytes() == ds.labels.tobytes()
 
 
 def test_bin_round_trip_bit_identical(tmp_path):

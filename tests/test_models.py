@@ -1,19 +1,22 @@
 """Player models: domain boxes, projection, heads, checkpoint round-trip."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mgsgan import autodiff as ad
+from mgsgan import blas, models
 from mgsgan.checkpoint import load_checkpoint_bytes, save_checkpoint_bytes
 from mgsgan.data import SpectralDataset
-from mgsgan.errors import ContractError, DataError, ShapeError
+from mgsgan.errors import ContractError, DataError, NumericError, ShapeError
 from mgsgan.layers import ConvTranspose1d, Dense
 from mgsgan.models import (GEN_KERNEL, GEN_PAD, GEN_STRIDE, MODES, ClassDomain, Classifier,
                            Discriminator, Generator, GeneratorBank, build_players, classify,
                            compute_class_domains, discriminate, generate, generator_plan,
-                           predict_labels)
+                           player_dtype, predict_labels)
 
 from conftest import fd_gradcheck, random_probe, reduce_to_scalar
 
@@ -324,6 +327,70 @@ def test_predict_labels_matches_classify():
     preds = predict_labels(cls, xs)
     singles = [classify(cls, x).argmax() for x in xs]
     np.testing.assert_array_equal(preds, singles)
+
+
+def _predict_one_batch_at_a_time(cls, samples, batch=256):
+    """predict_labels as a plain loop in the calling thread."""
+    x = np.asarray(samples, dtype=player_dtype(cls))
+    out = []
+    with ad.no_grad():
+        for start in range(0, x.shape[0], batch):
+            probs = cls.probs(ad.const(x[start : start + batch]), train=False)
+            out.append(probs.data.argmax(axis=1))
+    return np.concatenate(out)
+
+
+def _eval_state():
+    threads = blas._openblas()[0]() if blas._openblas() is not None else None
+    return ad._recording, blas.describe()["threads"], threads
+
+
+@pytest.fixture(scope="module")
+def eval_players():
+    """f32 players with a classifier and with a class head, and 9,222 rows of 16 bands."""
+    rng = np.random.default_rng(31)
+    samples = rng.uniform(-1.0, 1.0, size=(9222, 16))
+    players = {mode: build_players(mode, 4, 16, 8, _domains_for(16, 4), rng)
+               for mode in ("mgsgan", "achsgan")}
+    return players, samples
+
+
+@pytest.mark.parametrize("rows", [1, 255, 256, 257, 9222])
+@pytest.mark.parametrize("mode", ["mgsgan", "achsgan"])
+def test_threaded_predict_labels_matches_a_sequential_loop(monkeypatch, eval_players, mode,
+                                                            rows):
+    players, samples = eval_players
+    cls = players[mode].classifier
+    before = _eval_state()
+    monkeypatch.setattr(models, "_usable_cpus", lambda: 4)  # more threads than cores
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        preds = predict_labels(cls, samples[:rows])
+    finally:
+        sys.setswitchinterval(switch)
+    want = _predict_one_batch_at_a_time(cls, samples[:rows])
+    assert preds.dtype == np.int64 and preds.tobytes() == want.tobytes()
+    assert np.unique(want).size > 1 or rows == 1
+    assert _eval_state() == before
+
+
+@pytest.mark.parametrize("bad, error", [("band", ShapeError), ("nan", NumericError)])
+def test_predict_labels_batch_error_reaches_the_caller_and_state_is_restored(
+        monkeypatch, eval_players, bad, error):
+    players, samples = eval_players
+    cls = players["mgsgan"].classifier
+    x = samples[:1000].copy()
+    if bad == "band":
+        x = x[:, :15]  # every batch raises
+    else:
+        x[700, 3] = np.nan  # the third of four batches raises
+    before = _eval_state()
+    monkeypatch.setattr(models, "_usable_cpus", lambda: 2)
+    with pytest.raises(error):
+        predict_labels(cls, x)
+    assert _eval_state() == before
+    assert ad._recording and before[0]
 
 
 def test_eval_paths_record_no_tape_and_match_taped_bits(made_nodes):
