@@ -1,6 +1,8 @@
 """Player models: domain boxes, projection, heads, checkpoint round-trip."""
 
+import struct
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -505,3 +507,62 @@ def test_checkpoint_preserves_batchnorm_running_stats():
     np.testing.assert_array_equal(
         ck.discriminator.bn.running_mean,
         disc.bn.running_mean.astype(np.float32).astype(np.float64))
+
+
+# ---------------------------------------------------------------------------
+# committed version-1 checkpoints
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _payload_arrays(blob: bytes) -> tuple[tuple, list, np.ndarray]:
+    """(mode tag, N, d, noise_dim), every record's f32 arrays in file order, and the
+    boxes, read by walking the version-1 layout directly, apart from the loader."""
+    off = 4
+    mode_tag, n, d, noise = struct.unpack_from("<4I", blob, off + 4)
+    (net_count,) = struct.unpack_from("<I", blob, off + 20)
+    off += 24
+    arrays = []
+    for _ in range(net_count):
+        (layer_count,) = struct.unpack_from("<I", blob, off)
+        off += 4
+        for _ in range(layer_count):
+            _kind, n_ints = struct.unpack_from("<2I", blob, off)
+            off += 8 + 4 * n_ints
+            (n_arrs,) = struct.unpack_from("<I", blob, off)
+            off += 4
+            for _ in range(n_arrs):
+                (count,) = struct.unpack_from("<Q", blob, off)
+                arrays.append(np.frombuffer(blob, dtype="<f4", count=count, offset=off + 8))
+                off += 8 + 4 * count
+    boxes = np.frombuffer(blob, dtype="<f4", offset=off).reshape(n, 2, d)
+    return (mode_tag, n, d, noise), arrays, boxes
+
+
+def _layer_arrays(layer) -> list:
+    if hasattr(layer, "running_mean"):
+        return [layer.gamma.data, layer.beta.data, layer.running_mean, layer.running_var]
+    return [layer.weight.data, layer.bias.data]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_golden_v1_checkpoint_loads_every_array_and_resaves_its_bytes(mode):
+    # tests/golden/<mode>_v1.mgsg: build_players(mode, 2, 8, 4, ...) from
+    # default_rng(2026) with random running statistics, written by the version-1
+    # writer. Bytes only are pinned: predictions depend on the CPU's kernels.
+    blob = (GOLDEN / f"{mode}_v1.mgsg").read_bytes()
+    header, payload, boxes = _payload_arrays(blob)
+    ck = load_checkpoint_bytes(blob)
+    assert header == (MODES.index(mode), 2, 8, 4)
+    assert (ck.mode, ck.n_classes, ck.d, ck.noise_dim) == (mode, 2, 8, 4)
+    stack = ck.generator.generator if mode == "mgsgan" else ck.generator
+    nets = [ck.discriminator] + ([] if mode == "achsgan" else [ck.classifier])
+    loaded = [p.data[j] for j in range(stack.experts) for p in stack.parameters()]
+    loaded += [a for net in nets for layer in net.layers for a in _layer_arrays(layer)]
+    assert len(loaded) == len(payload)
+    for i, (got, want) in enumerate(zip(loaded, payload)):
+        assert got.dtype == np.float32 and got.ravel().tobytes() == want.tobytes(), i
+    for dom, (lo, hi) in zip(ck.domains, boxes, strict=True):
+        assert np.array_equal(dom.lower, lo) and np.array_equal(dom.upper, hi)
+    assert save_checkpoint_bytes(ck.mode, ck.generator, ck.discriminator, ck.classifier,
+                                 ck.domains, ck.noise_dim) == blob
