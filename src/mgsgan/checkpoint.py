@@ -1,4 +1,4 @@
-"""Binary checkpoint format for the three players and their class domains.
+"""Binary checkpoint format for a `models.Model`: its players and class domains.
 
 Layout (all little-endian):
 
@@ -19,8 +19,8 @@ Networks appear in this order: one per expert of the generator stack (N for
 mgsgan, one for the conditional generator), then the discriminator, then the
 classifier (absent for achsgan, whose class head lives in the discriminator).
 Expert j's network is a dense and two conv1d_transpose records written from
-row j of the stack's (experts, …) parameters. Loading builds fresh players
-and copies every record into their arrays in place.
+row j of the stack's (experts, …) parameters. Loading builds a fresh model
+and copies every record into its arrays in place.
 Weights and boxes are stored in f32, the dtype the players train in and the
 boxes are rounded to, so a trained model's save -> load round trip is lossless
 and save -> load -> save is bit-identical. A player built in f64 by hand is
@@ -30,15 +30,13 @@ quantized by its first save.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, DataError
 from .layers import BatchNorm1d, Conv1d, Dense
-from .models import (GEN_KERNEL, GEN_PAD, GEN_STRIDE, ClassDomain, Classifier, Discriminator,
-                     Generator, GeneratorBank, HeadClassifier, Players, build_players,
-                     generator_plan)
+from .models import (GEN_PAD, GEN_STRIDE, ClassDomain, Model, build_players, generator_plan,
+                     upsample_plan)
 
 _MAGIC = b"MGSG"
 _VERSION = 1
@@ -51,43 +49,32 @@ _KIND_CONVT = 3
 _KIND_BN = 4
 
 
-@dataclass
-class LoadedCheckpoint:
-    mode: str
-    n_classes: int
-    d: int
-    noise_dim: int
-    generator: GeneratorBank | Generator
-    discriminator: Discriminator
-    classifier: Classifier | HeadClassifier
-    domains: list[ClassDomain]
-
-
 def _layer_record(layer):
     if isinstance(layer, Dense):
-        return _KIND_DENSE, [layer.fan_in, layer.fan_out], [layer.weight.data, layer.bias.data]
+        return _KIND_DENSE, [layer.fan_in, layer.fan_out], layer.state_arrays()
     if isinstance(layer, Conv1d):
         c_out, c_in, k = layer.weight.shape
-        return (_KIND_CONV, [c_in, c_out, k, layer.stride, layer.pad],
-                [layer.weight.data, layer.bias.data])
+        return _KIND_CONV, [c_in, c_out, k, layer.stride, layer.pad], layer.state_arrays()
     if isinstance(layer, BatchNorm1d):
         return _KIND_BN, [layer.gamma.size], layer.state_arrays()
     raise ContractError(f"cannot serialize layer of type {type(layer).__name__}")
 
 
-def _expert_records(gen: Generator, j: int) -> list:
-    """Expert j's dense and transpose-conv records, arrays viewing row j of the stack."""
-    fc_w, fc_b, *ups = (p.data[j] for p in gen.parameters())
+def _expert_records(params, d: int, j: int) -> list:
+    """Expert j's dense and transpose-conv records, arrays viewing row j of the
+    stacked generator parameters; the convs' output lengths are those d gives."""
+    fc_w, fc_b, *ups = (p.data[j] for p in params)
+    lengths = (upsample_plan(d)[1], d)
     return [(_KIND_DENSE, list(fc_w.shape), [fc_w, fc_b])] + [
-        (_KIND_CONVT, [c_in, c_out, GEN_KERNEL, GEN_STRIDE, GEN_PAD, length], [w, b])
-        for (c_in, c_out, length), w, b in zip(gen.ups, ups[0::2], ups[1::2], strict=True)]
+        (_KIND_CONVT, [*w.shape, GEN_STRIDE, GEN_PAD, length], [w, b])
+        for length, w, b in zip(lengths, ups[0::2], ups[1::2], strict=True)]
 
 
-def _network_records(players: Players) -> list:
+def _network_records(model: Model) -> list:
     """Each network's layer records in file order: the experts, D, then a separate C."""
-    gen, *rest = players.trainable().values()
-    stack = gen.generator if isinstance(gen, GeneratorBank) else gen
-    return ([_expert_records(stack, j) for j in range(stack.experts)]
+    gen, *rest = model.trainable().values()
+    params = gen.parameters()
+    return ([_expert_records(params, model.d, j) for j in range(params[0].shape[0])]
             + [[_layer_record(layer) for layer in net.layers] for net in rest])
 
 
@@ -169,26 +156,24 @@ def _load_network(want, records, what: str):
             dst[...] = src.reshape(dst.shape)
 
 
-def save_checkpoint_bytes(mode: str, gen, disc, classifier,
-                          domains: list[ClassDomain], noise_dim: int) -> bytes:
-    if mode not in _MODES:
-        raise ContractError(f"save_checkpoint_bytes: unknown mode {mode!r}")
-    n = len(domains)
-    d = disc.d
+def save_checkpoint_bytes(model: Model) -> bytes:
+    if model.mode not in _MODES:
+        raise ContractError(f"save_checkpoint_bytes: unknown mode {model.mode!r}")
     buf = bytearray()
     buf += _MAGIC
-    buf += struct.pack("<IIIII", _VERSION, _MODES[mode], n, d, noise_dim)
-    nets = _network_records(Players(gen, disc, classifier))
+    buf += struct.pack("<IIIII", _VERSION, _MODES[model.mode], model.n_classes, model.d,
+                       model.noise_dim)
+    nets = _network_records(model)
     buf += struct.pack("<I", len(nets))
     for records in nets:
         _write_network(buf, records)
-    for dom in domains:
+    for dom in model.domains:
         buf += np.ascontiguousarray(dom.lower, dtype="<f4").tobytes()
         buf += np.ascontiguousarray(dom.upper, dtype="<f4").tobytes()
     return bytes(buf)
 
 
-def load_checkpoint_bytes(blob: bytes) -> LoadedCheckpoint:
+def load_checkpoint_bytes(blob: bytes) -> Model:
     if blob[:4] != _MAGIC:
         raise DataError("checkpoint: bad magic, not a checkpoint file")
     try:
@@ -197,7 +182,7 @@ def load_checkpoint_bytes(blob: bytes) -> LoadedCheckpoint:
         raise DataError(f"checkpoint: corrupt or truncated file ({exc})") from exc
 
 
-def _parse_checkpoint(blob: bytes) -> LoadedCheckpoint:
+def _parse_checkpoint(blob: bytes) -> Model:
     r = _Reader(blob)
     r.off = 4
     version, mode_tag, n, d, noise_dim = r.ints(5)
@@ -230,15 +215,15 @@ def _parse_checkpoint(blob: bytes) -> LoadedCheckpoint:
         off += 4 * d
         domains.append(ClassDomain(j, lo, hi))
 
-    players = build_players(mode, n, d, noise_dim, domains, np.random.default_rng(0))
-    nets = _network_records(players)
+    model = build_players(mode, n, d, noise_dim, domains, np.random.default_rng(0))
+    nets = _network_records(model)
     if net_count != len(nets):
         raise DataError(f"checkpoint: {net_count} networks, expected {len(nets)} for {mode}")
     for i, want in enumerate(nets):
         _load_network(want, records[i], f"network {i}")
-    return LoadedCheckpoint(mode, n, d, noise_dim, *players, domains)
+    return model
 
 
-def load_checkpoint(path) -> LoadedCheckpoint:
+def load_checkpoint(path) -> Model:
     with open(path, "rb") as fh:
         return load_checkpoint_bytes(fh.read())

@@ -19,12 +19,12 @@ import numpy as np
 
 from . import autodiff as ad
 from . import blas
-from .checkpoint import LoadedCheckpoint, load_checkpoint
+from .checkpoint import load_checkpoint
 from .data import (SpectralDataset, SplitSpec, dataset_digest, load_dataset, make_synthetic,
                    normalize_pair, save_dataset, split_tttr)
 from .errors import ContractError, DataError, MgsganError, NumericError, TrainingAborted
 from .evaluation import ConfusionMatrix, EvalReport, mcnemar
-from .models import MODES, generate, predict_labels
+from .models import MODES, Model, generate, predict_labels
 from .training import TrainConfig, train
 
 EXIT_OK = 0
@@ -199,13 +199,17 @@ def _prepared_split(data_path, tttr: float, split_seed: int):
 def _cmd_train(args) -> int:
     settings = _resolve_train_settings(args)
     seeds = _parse_int_list(settings["seeds"], "--seeds")
-    if not seeds or min(seeds) < 0:
-        raise _UsageError(f"--seeds: expected one or more seeds >= 0, got {settings['seeds']!r}")
+    if not seeds or min(seeds) < 0 or len(set(seeds)) != len(seeds):
+        raise _UsageError(f"--seeds: expected one or more distinct seeds >= 0, "
+                          f"got {settings['seeds']!r}")
     fields = {f.name: settings[f.name] for f in _config_fields()}
     configs = [TrainConfig(**fields, seed=seed) for seed in seeds]
     train_n, _test_n = _prepared_split(args.data, settings["tttr"], settings["split_seed"])
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise DataError(f"--out {out_dir}: exists and is not a directory") from None
     outputs = []
 
     def write_manifest(**extra):
@@ -261,7 +265,7 @@ def _run_seed(ckpt_path: Path, index: int) -> int:
         raise DataError(f"{ckpt_path.parent}: run directory is not named seed_<integer>") from None
 
 
-def _checkpoint_for(ckpt_path, ds: SpectralDataset) -> LoadedCheckpoint:
+def _checkpoint_for(ckpt_path, ds: SpectralDataset) -> Model:
     """Load a checkpoint and check it was trained on data of ds's d and N."""
     ck = load_checkpoint(ckpt_path)
     if ck.d != ds.band_count or ck.n_classes != ds.class_count:

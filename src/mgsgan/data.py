@@ -200,7 +200,7 @@ def _read_csv(path) -> SpectralDataset:
                                       dtype=[("samples", "f8", (d,)), ("label", "i8")])
             except (ValueError, Warning):
                 pass
-    if body is not None:
+    if body is not None and n <= body.size:  # else the loop words the error
         try:
             ds = SpectralDataset(np.ascontiguousarray(body["samples"]),
                                  np.ascontiguousarray(body["label"]), n)
@@ -244,6 +244,9 @@ def _read_csv_lines(path) -> SpectralDataset:
                 raise DataError(f"{path}: line {lineno}: {exc}")
             if not 0 <= labels[-1] < n:
                 raise DataError(f"{path}: line {lineno}: label {labels[-1]} out of range [0, {n})")
+    if n > len(labels):  # before require_all_classes counts N classes
+        raise DataError(f"{path}: header N={n} exceeds the {len(labels)} rows; "
+                        "N classes need 1 <= N <= M rows")
     ds = SpectralDataset(np.asarray(samples, dtype=np.float64).reshape(len(samples), d),
                          np.asarray(labels, dtype=np.int64), n)
     ds.require_all_classes()

@@ -50,6 +50,9 @@ class Dense:
     def forward(self, x: ad.Tensor) -> ad.Tensor:
         return ad.add(ad.matmul(x, self.weight), self.bias)
 
+    def state_arrays(self) -> list[np.ndarray]:
+        return [self.weight.data, self.bias.data]
+
 
 class Conv1d:
     def __init__(self, c_in: int, c_out: int, kernel: int, rng: np.random.Generator,
@@ -68,6 +71,9 @@ class Conv1d:
 
     def forward(self, x: ad.Tensor) -> ad.Tensor:
         return ad.conv1d(x, self.weight, self.bias, stride=self.stride, pad=self.pad)
+
+    def state_arrays(self) -> list[np.ndarray]:
+        return [self.weight.data, self.bias.data]
 
 
 class ConvTranspose1d:

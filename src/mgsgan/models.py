@@ -1,4 +1,4 @@
-"""The three players: a generator stack, a discriminator and a classifier.
+"""The model: a generator stack, a discriminator, a classifier and the class boxes.
 
 Every mode's generator is a stack of experts of one architecture whose weights
 are stacked as (experts, …) arrays, the mixture-of-generators layout of MGAN
@@ -9,10 +9,14 @@ layer, and projects each raw tanh output into its class's per-band box
 are contained in the class domain by construction. acsgan and achsgan use a
 one-expert stack fed the noise and a one-hot class code. The discriminator is
 a strided conv stack with a sigmoid head; achsgan's has N+1 outputs, the first
-N a softmax class head that serves as its classifier. The classifier of the
-other modes extracts features through parallel conv branches with distinct
-kernel sizes and ends in an N-way softmax.
+N a softmax class head, and that discriminator is also achsgan's classifier
+(AC-GAN, Odena et al., ICML 2017). The classifier of the other modes extracts
+features through parallel conv branches with distinct kernel sizes and ends
+in an N-way softmax. Every generator answers `generate_batch(z, classes)` and
+every classifier `probs(x, train)`, so no caller asks which class a player is.
 
+A `Model` holds one mode's three players, its boxes and its noise width; it is
+what `build_players` makes, `training.train` returns and a checkpoint stores.
 The players train and predict in DTYPE (f32). `build_players` is the one place
 that casts: it casts every parameter and batch-norm running statistic, and
 every other input (noise, samples, fake rows) is cast to the dtype of the
@@ -26,7 +30,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -93,7 +96,7 @@ def compute_class_domains(train, margin: float = 0.0) -> list[ClassDomain]:
     return domains
 
 
-def _upsample_plan(d: int) -> tuple[int, int]:
+def upsample_plan(d: int) -> tuple[int, int]:
     """Lengths (L0, L1) so two stride-2 k=4 p=1 transpose convs reach exactly d."""
     if d < 4:
         raise ContractError(f"generator needs at least 4 bands, got {d}")
@@ -115,7 +118,7 @@ class Generator:
         if experts < 1:
             raise ContractError(f"Generator: needs at least one expert, got {experts}")
         c0, c1 = GEN_CHANNELS
-        l0, l1 = _upsample_plan(d)
+        l0, l1 = upsample_plan(d)
         self.in_dim = in_dim
         self.d = d
         self.experts = experts
@@ -142,6 +145,15 @@ class Generator:
         if self.experts != 1:
             raise ContractError(f"Generator.forward: needs one expert, the stack has {self.experts}")
         return self.forward_segments(z, [0, z.shape[0]])
+
+    def generate_batch(self, z: ad.Tensor, classes: np.ndarray) -> ad.Tensor:
+        """Each row of the noise z with its class's one-hot code appended, through forward.
+
+        z is a constant: the code is appended to its values in z's dtype.
+        """
+        n, dtype = self.in_dim - z.shape[1], z.data.dtype
+        onehot = np.eye(n, dtype=dtype)[_class_ids(classes, n, "generate_batch")]
+        return self.forward(ad.const(np.concatenate([z.data, onehot], axis=1), dtype=dtype))
 
     def forward_segments(self, z: ad.Tensor, bounds) -> ad.Tensor:
         """Raw tanh output of rows bounds[j]:bounds[j+1] of z through expert j."""
@@ -242,6 +254,12 @@ class Discriminator:
         """P(real) per sample, shape (B,)."""
         return self.heads(x, train)[0]
 
+    def probs(self, x: ad.Tensor, train: bool) -> ad.Tensor:
+        """The class head's (B, N) softmax, which makes this discriminator a classifier."""
+        if self.n_out == 1:
+            raise ContractError("Discriminator.probs: one output, so no class head")
+        return self.heads(x, train)[1]
+
 
 def player_dtype(player):
     """The dtype of a player's parameters, which every input to it is cast to."""
@@ -297,6 +315,10 @@ class Classifier:
     def probs(self, x: ad.Tensor, train: bool) -> ad.Tensor:
         return ad.softmax(self.logits(x, train), axis=1)
 
+    def state_arrays(self) -> list[np.ndarray]:
+        """Every layer's arrays, running statistics included, in layer order."""
+        return [a for layer in self.layers for a in layer.state_arrays()]
+
 
 def classify(cls: Classifier, x: np.ndarray) -> np.ndarray:
     """Softmax class probabilities for a single spectrum (eval mode)."""
@@ -305,25 +327,6 @@ def classify(cls: Classifier, x: np.ndarray) -> np.ndarray:
         raise ShapeError(f"classify: expected shape ({cls.d},), got {x.shape}")
     with ad.no_grad():
         return cls.probs(ad.const(x[None, :]), train=False).data[0]
-
-
-class HeadClassifier:
-    """Classifier facade over a multi-head discriminator's first N outputs."""
-
-    def __init__(self, disc: Discriminator, n_classes: int):
-        if disc.n_out != n_classes + 1:
-            raise ContractError(
-                f"HeadClassifier: discriminator has {disc.n_out} outputs, expected {n_classes + 1}"
-            )
-        self.disc = disc
-        self.d = disc.d
-        self.n_classes = n_classes
-
-    def parameters(self):
-        return self.disc.parameters()
-
-    def probs(self, x: ad.Tensor, train: bool) -> ad.Tensor:
-        return self.disc.heads(x, train)[1]
 
 
 def _take_cols(x: ad.Tensor, cols: np.ndarray) -> ad.Tensor:
@@ -369,17 +372,32 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-class Players(NamedTuple):
-    """One mode's generator, discriminator and classifier."""
+@dataclass(eq=False)
+class Model:
+    """One mode's generator, discriminator and classifier, its class boxes and noise width.
 
+    achsgan's classifier is its discriminator, whose class head gives `probs`.
+    """
+
+    mode: str
     generator: GeneratorBank | Generator
     discriminator: Discriminator
-    classifier: Classifier | HeadClassifier
+    classifier: Classifier | Discriminator
+    domains: list[ClassDomain]
+    noise_dim: int
+
+    @property
+    def n_classes(self) -> int:
+        return len(self.domains)
+
+    @property
+    def d(self) -> int:
+        return self.discriminator.d
 
     def trainable(self) -> dict:
-        """The players that own parameters, keyed g/d/c; a head classifier is part of D."""
+        """The players that own parameters, keyed g/d/c; a class head is part of D."""
         out = {"g": self.generator, "d": self.discriminator}
-        if not isinstance(self.classifier, HeadClassifier):
+        if self.classifier is not self.discriminator:
             out["c"] = self.classifier
         return out
 
@@ -394,8 +412,8 @@ def generator_plan(mode: str, n: int, noise_dim: int) -> tuple[int, int]:
 
 
 def build_players(mode: str, n: int, d: int, noise_dim: int, domains: list[ClassDomain],
-                  rng: np.random.Generator) -> Players:
-    """The players of `mode`, initialised from rng in the order G, D, C, in DTYPE.
+                  rng: np.random.Generator) -> Model:
+    """The model of `mode`, its players initialised from rng in the order G, D, C, in DTYPE.
 
     mgsgan: one expert per class plus its box; acsgan: one generator
     conditioned by a one-hot class code; achsgan: the acsgan generator and a
@@ -405,24 +423,23 @@ def build_players(mode: str, n: int, d: int, noise_dim: int, domains: list[Class
     """
     if mode not in MODES:
         raise ContractError(f"build_players: unknown mode {mode!r}")
+    if len(domains) != n:
+        raise ContractError(f"build_players: {len(domains)} domains for {n} classes")
     experts, width = generator_plan(mode, n, noise_dim)
     gen = Generator(width, d, rng, experts)
     if mode == "mgsgan":
         gen = GeneratorBank(gen, domains)
-    if mode == "achsgan":
-        disc = Discriminator(d, rng, n_out=n + 1)
-        players = Players(gen, disc, HeadClassifier(disc, n))
-    else:
-        disc = Discriminator(d, rng, n_out=1)
-        players = Players(gen, disc, Classifier(d, n, rng))
-    for player in players.trainable().values():
+    disc = Discriminator(d, rng, n_out=n + 1 if mode == "achsgan" else 1)
+    cls = disc if mode == "achsgan" else Classifier(d, n, rng)
+    model = Model(mode, gen, disc, cls, domains, noise_dim)
+    for player in model.trainable().values():
         for p in player.parameters():
             p.data = p.data.astype(DTYPE)
         for layer in getattr(player, "layers", []):  # the generator has no batch norm
             if isinstance(layer, BatchNorm1d):
                 layer.running_mean = layer.running_mean.astype(DTYPE)
                 layer.running_var = layer.running_var.astype(DTYPE)
-    return players
+    return model
 
 
 def generate(gen: GeneratorBank | Generator, z: np.ndarray, classes: np.ndarray) -> ad.Tensor:
@@ -432,9 +449,4 @@ def generate(gen: GeneratorBank | Generator, z: np.ndarray, classes: np.ndarray)
     reads the one-hot class code appended to z. The input is cast to the
     generator's dtype.
     """
-    dtype = player_dtype(gen)
-    if isinstance(gen, GeneratorBank):
-        return gen.generate_batch(ad.const(z, dtype=dtype), classes)
-    n = gen.in_dim - z.shape[1]
-    onehot = np.eye(n)[_class_ids(classes, n, "generate")]
-    return gen.forward(ad.const(np.concatenate([z, onehot], axis=1), dtype=dtype))
+    return gen.generate_batch(ad.const(z, dtype=player_dtype(gen)), classes)

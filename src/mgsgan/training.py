@@ -1,8 +1,9 @@
 """End-to-end training loop: per batch, one D step, one C step, one G step.
 
 Every mode runs the same D and G updates (`_update`); the mode only decides
-which players `build_players` makes. A class head on the discriminator is
-trained through `loss_d` and `loss_g`, with no C step of its own.
+which players `build_players` puts in the `models.Model` that `train` returns.
+A class head on the discriminator is trained through `loss_d` and `loss_g`,
+with no C step of its own.
 
 Each update holds the other players fixed in one way only: `_Freezer` sets
 `requires_grad` False on their parameters, which makes them constants to the
@@ -41,13 +42,13 @@ import numpy as np
 
 from . import autodiff as ad
 from . import blas
-from .checkpoint import _layer_record, save_checkpoint_bytes
+from .checkpoint import save_checkpoint_bytes
 from .data import SpectralDataset, class_priors, dataset_digest
 from .errors import ContractError, NumericError, TrainingAborted
 from .layers import Adam
 from .losses import ClampLog, ClassPriors, loss_c, loss_d, loss_g
-from .models import (DTYPE, MODES, ClassDomain, Classifier, Discriminator, HeadClassifier,
-                     build_players, compute_class_domains, generate, player_dtype)
+from .models import (DTYPE, MODES, ClassDomain, Model, build_players, compute_class_domains,
+                     generate, player_dtype)
 
 NOISE_DISTS = ("normal", "normal-shifted", "uniform")
 PRIOR_MODES = ("empirical", "uniform")
@@ -139,18 +140,13 @@ class RunLog:
 
 @dataclass
 class TrainResult:
-    mode: str
-    generator: object
-    discriminator: Discriminator
-    classifier: Classifier | HeadClassifier
-    domains: list
+    model: Model
     priors: ClassPriors
     runlog: RunLog
     config: TrainConfig
 
     def checkpoint_bytes(self) -> bytes:
-        return save_checkpoint_bytes(self.mode, self.generator, self.discriminator,
-                                     self.classifier, self.domains, self.config.noise_dim)
+        return save_checkpoint_bytes(self.model)
 
 
 def _draw_noise(rng: np.random.Generator, n: int, dim: int, dist: str) -> np.ndarray:
@@ -233,8 +229,8 @@ def train(train_ds: SpectralDataset, config: TrainConfig, checkpoint_dir=None) -
     lower = np.stack([dom.lower for dom in domains])  # row j: class j's box, for containment
     upper = np.stack([dom.upper for dom in domains])
 
-    all_players = build_players(config.mode, n, d, config.noise_dim, domains, rng_init)
-    players = all_players.trainable()
+    model = build_players(config.mode, n, d, config.noise_dim, domains, rng_init)
+    players = model.trainable()
     adams = {k: Adam(p.parameters(), lr=config.lr, beta1=config.beta1, beta2=config.beta2)
              for k, p in players.items()}
 
@@ -243,7 +239,7 @@ def train(train_ds: SpectralDataset, config: TrainConfig, checkpoint_dir=None) -
         "dataset_digest": dataset_digest(train_ds),
         "class_sizes": train_ds.class_sizes().tolist(),
     })
-    result = TrainResult(config.mode, *all_players, domains, priors, runlog, config)
+    result = TrainResult(model, priors, runlog, config)
 
     n_batches = train_ds.size // config.batch
     last_good = None
@@ -365,15 +361,6 @@ def _update(players, name, adam, loss_fn) -> ad.Tensor:
     return loss
 
 
-def _classifier_state(cls) -> list:
-    """The classifier's arrays, running statistics included: its checkpoint records'."""
-    return [a for layer in cls.layers for a in _layer_record(layer)[2]]
-
-
-def _load_classifier_state(cls, state):
-    """Copy `_classifier_state` arrays into the classifier's own arrays, in place."""
-    for dst, src in zip(_classifier_state(cls), state, strict=True):
-        dst[...] = src
 
 
 def _serve_classifier(conn, parent_end, cls, adam, train_ds, priors, clamps):
@@ -394,7 +381,7 @@ def _serve_classifier(conn, parent_end, cls, adam, train_ds, priors, clamps):
         while True:
             msg = conn.recv()
             if msg is None:
-                conn.send(_classifier_state(cls))
+                conn.send(cls.state_arrays())
                 continue
             idx, fake, classes = msg
             try:
@@ -462,7 +449,8 @@ class _ClassifierWorker:
         Every C step must be answered first; the next C step is batch 0 of a new epoch.
         """
         self._send(None)
-        _load_classifier_state(self.cls, self._recv())
+        for dst, src in zip(self.cls.state_arrays(), self._recv(), strict=True):
+            dst[...] = src
         self.sent = self.answered = 0
 
     def _send(self, msg):

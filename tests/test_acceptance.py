@@ -172,7 +172,7 @@ def experiment():
             cfg = TrainConfig(epochs=EXP_EPOCHS, batch=64, seed=seed, mode=mode,
                               prior_mode="uniform")
             result = train(train_n, cfg)
-            preds = predict_labels(result.classifier, test_n.samples)
+            preds = predict_labels(result.model.classifier, test_n.samples)
             cm = ConfusionMatrix.from_predictions(test_n.labels, preds, 4)
             runs.append({"recalls": per_class_recall(cm), "runlog": result.runlog})
             print(f"  {mode} seed {seed}: per-class recall "
@@ -260,7 +260,7 @@ def test_criterion_7_determinism():
     def one_run():
         cfg = TrainConfig(epochs=3, batch=16, seed=9, mode="mgsgan")
         result = train(train_n, cfg)
-        preds = predict_labels(result.classifier, test_n.samples)
+        preds = predict_labels(result.model.classifier, test_n.samples)
         cm = ConfusionMatrix.from_predictions(test_n.labels, preds, 3)
         report = EvalReport.from_runs("mgsgan", [cm], seeds=[9])
         return (result.runlog.to_jsonl(), result.checkpoint_bytes(), report.to_json())
@@ -290,7 +290,7 @@ def test_criterion_8_real_data_smoke():
     for mode in ("mgsgan", "acsgan"):
         cfg = TrainConfig(epochs=epochs, batch=64, seed=0, mode=mode)
         result = train(train_n, cfg)
-        preds[mode] = predict_labels(result.classifier, test_n.samples)
+        preds[mode] = predict_labels(result.model.classifier, test_n.samples)
     cm = ConfusionMatrix.from_predictions(test_n.labels, preds["mgsgan"], ds.class_count)
     report = EvalReport.from_runs("mgsgan", [cm], seeds=[0])
     report.mcnemar_vs["acsgan"] = mcnemar(preds["mgsgan"], preds["acsgan"], test_n.labels)

@@ -3,9 +3,12 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from mgsgan import blas
+from mgsgan import autodiff as ad
+from mgsgan import blas, cli
+from mgsgan.checkpoint import load_checkpoint
 from mgsgan.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 
 
@@ -441,14 +444,22 @@ def test_export_spectra_class_filter_and_unknown_class(tmp_path):
     (["synth", "--classes", "1", "--bands", "0", "--sizes", "5"], EXIT_USAGE, "at least 4 bands"),
     (["eval", "--data", "{binary}", "--checkpoint", "{binary}", "--tttr", "0.5"], EXIT_DATA,
      "not a UTF-8 text CSV file"),
-], ids=["no-classes", "no-bands", "binary-data"])
+    # the binary data would be a data error: the seeds are refused before it is read
+    (["train", "--data", "{binary}", "--seeds", "0,0"], EXIT_USAGE, "distinct seeds"),
+    (["train", "--data", "{csv}", "--out", "{binary}"], EXIT_DATA,
+     "--out {binary}: exists and is not a directory"),
+], ids=["no-classes", "no-bands", "binary-data", "repeated-seed", "out-is-a-file"])
 def test_bad_input_exits_with_its_code_and_no_traceback(tmp_path, capsys, argv, code, message):
     binary = tmp_path / "blob.csv"
     binary.write_bytes(bytes(range(256)) * 4)
-    argv = [a.format(binary=binary) for a in argv] + ["--out", str(tmp_path / "out.csv")]
+    paths = {"binary": binary, "csv": _synth(tmp_path)}
+    argv = [a.format(**paths) for a in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out.csv")]
+    capsys.readouterr()
     assert main(argv) == code
     err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err
+    assert message.format(**paths) in err and "Traceback" not in err
 
 
 def test_eval_run_dir_of_two_modes_is_data_error(tmp_path, capsys):
@@ -464,3 +475,29 @@ def test_eval_run_dir_of_two_modes_is_data_error(tmp_path, capsys):
     for mode, seed in (("mgsgan", "0"), ("acsgan", "1")):
         assert f"{out / f'seed_{seed}' / 'checkpoint.mgsg'} is {mode}" in err
     assert not (tmp_path / "rep.json").exists()
+
+
+def test_achsgan_trains_evaluates_and_exports_through_the_cli(tmp_path, monkeypatch):
+    # achsgan's classifier is its discriminator's class head
+    data = _synth(tmp_path)
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--out", str(out), "--epochs", "1",
+                 "--mode", "achsgan", "--tttr", "0.5", "--batch", "16", "--seeds", "0"]) == EXIT_OK
+    predicted = []
+    predict_labels = cli.predict_labels
+
+    def recording_predict_labels(cls, samples):
+        predicted.append(predict_labels(cls, samples))
+        return predicted[-1]
+
+    monkeypatch.setattr(cli, "predict_labels", recording_predict_labels)
+    assert main(["eval", "--data", str(data), "--run-dir", str(out), "--tttr", "0.5",
+                 "--out", str(tmp_path / "rep")]) == EXIT_OK
+    ckpt = out / "seed_0" / "checkpoint.mgsg"
+    assert main(["export-spectra", "--checkpoint", str(ckpt), "--data", str(data),
+                 "--tttr", "0.5", "--samples", "4", "--out", str(tmp_path / "s.csv")]) == EXIT_OK
+    disc = load_checkpoint(ckpt).discriminator
+    _train_n, test_n = cli._prepared_split(data, 0.5, 0)
+    with blas.single_thread():
+        probs = disc.heads(ad.const(test_n.samples, dtype=np.float32), False)[1]
+    assert len(predicted) == 1 and predicted[0].tobytes() == probs.data.argmax(axis=1).tobytes()

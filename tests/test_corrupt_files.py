@@ -3,7 +3,8 @@
 A corrupt size field must be caught before it sizes an allocation, so the
 properties run in a child process under an address-space limit: an allocation
 sized by a corrupt field fails there as a MemoryError (and the test with it)
-instead of exhausting the machine's memory.
+instead of exhausting the machine's memory. A CSV header's class count is held
+to the BIN reader's rule, 1 <= N <= M, the same way.
 """
 
 import os
@@ -44,8 +45,7 @@ def _checkpoint_blob(mode: str) -> bytes:
     n, d, noise = 3, 12, 8
     lo = rng.uniform(-1.0, 0.5, size=(n, d))
     domains = [ClassDomain(j, lo[j], lo[j] + 0.3) for j in range(n)]
-    gen, disc, cls = build_players(mode, n, d, noise, domains, rng)
-    return save_checkpoint_bytes(mode, gen, disc, cls, domains, noise)
+    return save_checkpoint_bytes(build_players(mode, n, d, noise, domains, rng))
 
 
 def _flip(blob: bytes, bit: int) -> bytes:
@@ -138,3 +138,25 @@ def test_a_bit_flipped_header_cannot_size_an_allocation():
     # noise_dim + 2^30 would size a generator's dense layer at 3 TiB
     with pytest.raises(DataError, match="does not match the generator records"):
         load_checkpoint_bytes(_flip(_checkpoint_blob("mgsgan"), 8 * 20 + 30))
+
+
+_CLI_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))
+from mgsgan.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_a_csv_header_with_more_classes_than_rows_is_a_data_error(tmp_path):
+    # N = 4e9 classes over one row: counting them would ask for 29.8 GiB
+    data = tmp_path / "huge_n.csv"
+    data.write_text("d=2,N=4000000000\n0.5,0.25,0\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(mgsgan.__file__).parents[1]))
+    argv = ["eval", "--data", str(data), "--checkpoint", str(tmp_path / "none.mgsg"),
+            "--tttr", "0.5", "--out", str(tmp_path / "rep")]
+    child = subprocess.run([sys.executable, "-c", _CLI_CHILD.format(limit=ADDRESS_SPACE_LIMIT),
+                            *argv], env=env, capture_output=True, text=True, timeout=600)
+    assert child.returncode == 2, child.stderr[-4000:]
+    assert "N=4000000000 exceeds the 1 rows" in child.stderr

@@ -244,6 +244,16 @@ def test_discriminator_wrong_length_rejected():
         discriminate(disc, np.zeros(15))
 
 
+def test_discriminator_probs_is_the_class_head_and_needs_one():
+    rng = np.random.default_rng(9)
+    x = ad.const(rng.standard_normal((3, 16)))
+    with pytest.raises(ContractError, match="no class head"):
+        Discriminator(16, rng).probs(x, train=False)
+    disc = Discriminator(16, rng, n_out=5)
+    assert disc.probs(x, train=False).data.tobytes() == \
+        disc.heads(x, train=False)[1].data.tobytes()
+
+
 def test_classifier_uniform_on_zero_head():
     rng = np.random.default_rng(8)
     cls = Classifier(16, 4, rng)
@@ -421,12 +431,10 @@ def test_eval_paths_record_no_tape_and_match_taped_bits(made_nodes):
 # ---------------------------------------------------------------------------
 # checkpoint format
 
-def _trained_like_bundle(mode, rng, n=3, d=12):
-    noise = 8
+def _trained_like_model(mode, rng, n=3, d=12):
     lo = rng.uniform(-1.0, 0.5, size=(n, d))
     domains = [ClassDomain(j, lo[j], lo[j] + rng.uniform(0.0, 0.5, size=d)) for j in range(n)]
-    gen, disc, cls = build_players(mode, n, d, noise, domains, rng)
-    return gen, disc, cls, domains, noise
+    return build_players(mode, n, d, 8, domains, rng)
 
 
 _CHECKPOINT_SHAPES = settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -437,16 +445,14 @@ _CHECKPOINT_SHAPES = settings(max_examples=12, deadline=None, derandomize=True, 
 @given(n=st.integers(1, 5), d=st.integers(4, 24))
 def test_checkpoint_save_load_save_bit_identical(mode, n, d):
     rng = np.random.default_rng(16)
-    gen, disc, cls, domains, noise = _trained_like_bundle(mode, rng, n, d)
-    blob = save_checkpoint_bytes(mode, gen, disc, cls, domains, noise)
+    blob = save_checkpoint_bytes(_trained_like_model(mode, rng, n, d))
     ck = load_checkpoint_bytes(blob)
-    blob2 = save_checkpoint_bytes(ck.mode, ck.generator, ck.discriminator,
-                                  ck.classifier, ck.domains, ck.noise_dim)
+    blob2 = save_checkpoint_bytes(ck)
     assert blob == blob2
     assert ck.mode == mode and ck.d == d and ck.n_classes == n
     # the reloaded generator gives the bits of the one it was saved from
     ck2 = load_checkpoint_bytes(blob2)
-    z = rng.standard_normal((2 * n + 1, noise))
+    z = rng.standard_normal((2 * n + 1, ck.noise_dim))
     classes = rng.integers(0, n, size=2 * n + 1)
     assert generate(ck2.generator, z, classes).data.tobytes() == \
         generate(ck.generator, z, classes).data.tobytes()
@@ -454,10 +460,9 @@ def test_checkpoint_save_load_save_bit_identical(mode, n, d):
 
 def test_checkpoint_loaded_values_are_f32_quantized_originals():
     rng = np.random.default_rng(17)
-    gen, disc, cls, domains, noise = _trained_like_bundle("mgsgan", rng)
-    blob = save_checkpoint_bytes("mgsgan", gen, disc, cls, domains, noise)
-    ck = load_checkpoint_bytes(blob)
-    orig = disc.head.weight.data
+    model = _trained_like_model("mgsgan", rng)
+    ck = load_checkpoint_bytes(save_checkpoint_bytes(model))
+    orig = model.discriminator.head.weight.data
     loaded = ck.discriminator.head.weight.data
     np.testing.assert_array_equal(loaded, orig.astype(np.float32).astype(np.float64))
 
@@ -466,8 +471,7 @@ def test_checkpoint_loaded_values_are_f32_quantized_originals():
 @given(mode=st.sampled_from(MODES), n=st.integers(1, 5), d=st.integers(4, 24), data=st.data())
 def test_checkpoint_magic_and_truncation_errors(mode, n, d, data):
     rng = np.random.default_rng(18)
-    gen, disc, cls, domains, noise = _trained_like_bundle(mode, rng, n, d)
-    blob = save_checkpoint_bytes(mode, gen, disc, cls, domains, noise)
+    blob = save_checkpoint_bytes(_trained_like_model(mode, rng, n, d))
     with pytest.raises(DataError):
         load_checkpoint_bytes(b"XXXX" + blob[4:])
     cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
@@ -479,7 +483,7 @@ def test_checkpoint_magic_and_truncation_errors(mode, n, d, data):
 def test_generator_plan_is_what_build_players_makes(mode):
     # the checkpoint reader checks a header against this plan before building
     rng = np.random.default_rng(20)
-    gen = build_players(mode, 3, 12, 8, _trained_like_bundle(mode, rng)[3], rng).generator
+    gen = build_players(mode, 3, 12, 8, _trained_like_model(mode, rng).domains, rng).generator
     stack = gen.generator if mode == "mgsgan" else gen
     assert (stack.experts, stack.in_dim) == generator_plan(mode, 3, 8)
 
@@ -489,21 +493,21 @@ def test_checkpoint_writes_rebound_generator_parameters(mode):
     # a parameter whose .data is rebound (as the classifier worker's pull does to
     # C) must be saved with its new values, never through a stale view of the old
     rng = np.random.default_rng(21)
-    gen, disc, cls, domains, noise = _trained_like_bundle(mode, rng)
-    for p in gen.parameters():
+    model = _trained_like_model(mode, rng)
+    for p in model.generator.parameters():
         p.data = p.data + 0.5
-    ck = load_checkpoint_bytes(save_checkpoint_bytes(mode, gen, disc, cls, domains, noise))
-    for saved, p in zip(ck.generator.parameters(), gen.parameters(), strict=True):
+    ck = load_checkpoint_bytes(save_checkpoint_bytes(model))
+    for saved, p in zip(ck.generator.parameters(), model.generator.parameters(), strict=True):
         np.testing.assert_array_equal(saved.data, p.data.astype(np.float32).astype(np.float64))
 
 
 def test_checkpoint_preserves_batchnorm_running_stats():
     rng = np.random.default_rng(19)
-    gen, disc, cls, domains, noise = _trained_like_bundle("mgsgan", rng)
+    model = _trained_like_model("mgsgan", rng)
+    disc = model.discriminator
     disc.bn.running_mean[:] = rng.standard_normal(disc.bn.running_mean.shape)
     disc.bn.running_var[:] = rng.uniform(0.5, 2.0, disc.bn.running_var.shape)
-    blob = save_checkpoint_bytes("mgsgan", gen, disc, cls, domains, noise)
-    ck = load_checkpoint_bytes(blob)
+    ck = load_checkpoint_bytes(save_checkpoint_bytes(model))
     np.testing.assert_array_equal(
         ck.discriminator.bn.running_mean,
         disc.bn.running_mean.astype(np.float32).astype(np.float64))
@@ -564,5 +568,4 @@ def test_golden_v1_checkpoint_loads_every_array_and_resaves_its_bytes(mode):
         assert got.dtype == np.float32 and got.ravel().tobytes() == want.tobytes(), i
     for dom, (lo, hi) in zip(ck.domains, boxes, strict=True):
         assert np.array_equal(dom.lower, lo) and np.array_equal(dom.upper, hi)
-    assert save_checkpoint_bytes(ck.mode, ck.generator, ck.discriminator, ck.classifier,
-                                 ck.domains, ck.noise_dim) == blob
+    assert save_checkpoint_bytes(ck) == blob

@@ -20,7 +20,7 @@ from mgsgan.data import SpectralDataset
 from mgsgan.errors import ContractError
 from mgsgan.layers import Adam, BatchNorm1d
 from mgsgan.losses import ClampLog, _safe_log
-from mgsgan.models import DTYPE, MODES, Classifier, compute_class_domains
+from mgsgan.models import DTYPE, MODES, compute_class_domains
 from mgsgan.training import TrainConfig, train
 
 F32 = np.dtype(np.float32)
@@ -59,10 +59,8 @@ def test_ops_compute_in_the_dtype_of_their_operands(kind, dtype, monkeypatch):
     assert set(outputs) == {np.dtype(dtype)}
 
 
-def _batch_norms(result):
-    nets = [result.discriminator]
-    if isinstance(result.classifier, Classifier):
-        nets.append(result.classifier)
+def _batch_norms(model):
+    nets = list(model.trainable().values())[1:]  # D, and C when it is a separate player
     return [layer for net in nets for layer in net.layers if isinstance(layer, BatchNorm1d)]
 
 
@@ -86,10 +84,11 @@ def test_training_keeps_every_array_in_f32(mode, monkeypatch):
     monkeypatch.setattr(training, "loss_c", f32_loss_c)
     res = train(_toy_ds(), TrainConfig(epochs=1, batch=16, seed=3, mode=mode))
     assert DTYPE == np.float32
-    players = (res.generator, res.discriminator, res.classifier)
+    model = res.model
+    players = (model.generator, model.discriminator, model.classifier)
     arrays = [p.data for player in players for p in player.parameters()]
     arrays += [a for adam in adams for a in adam.m + adam.v]
-    arrays += [a for bn in _batch_norms(res) for a in (bn.running_mean, bn.running_var)]
+    arrays += [a for bn in _batch_norms(model) for a in (bn.running_mean, bn.running_var)]
     assert {a.dtype for a in arrays} == {F32}
     if mode == "mgsgan":
         assert [r.containment_overall for r in res.runlog.records] == [1.0]
@@ -99,11 +98,12 @@ def test_training_keeps_every_array_in_f32(mode, monkeypatch):
 def test_checkpoint_round_trip_of_a_trained_model_is_lossless(mode):
     res = train(_toy_ds(), TrainConfig(epochs=1, batch=16, seed=4, mode=mode))
     ck = load_checkpoint_bytes(res.checkpoint_bytes())
-    for mine, loaded in [(res.generator, ck.generator), (res.discriminator, ck.discriminator),
-                         (res.classifier, ck.classifier)]:
+    model = res.model
+    for mine, loaded in [(model.generator, ck.generator), (model.discriminator, ck.discriminator),
+                         (model.classifier, ck.classifier)]:
         for p, q in zip(mine.parameters(), loaded.parameters(), strict=True):
             assert p.data.dtype == q.data.dtype and p.data.tobytes() == q.data.tobytes()
-    for dom, back in zip(res.domains, ck.domains, strict=True):
+    for dom, back in zip(model.domains, ck.domains, strict=True):
         assert dom.lower.tobytes() == back.lower.tobytes()
         assert dom.upper.tobytes() == back.upper.tobytes()
 
@@ -111,7 +111,7 @@ def test_checkpoint_round_trip_of_a_trained_model_is_lossless(mode):
 def test_train_boxes_are_f32_values_that_hold_the_class_boxes():
     ds = _toy_ds()
     res = train(ds, TrainConfig(epochs=0, batch=16, seed=0, domain_margin=0.0))
-    for dom, exact in zip(res.domains, compute_class_domains(ds, 0.0), strict=True):
+    for dom, exact in zip(res.model.domains, compute_class_domains(ds, 0.0), strict=True):
         for bound in (dom.lower, dom.upper):
             np.testing.assert_array_equal(bound.astype(np.float32), bound)
         assert np.all(dom.lower <= exact.lower) and np.all(exact.upper <= dom.upper)

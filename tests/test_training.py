@@ -37,8 +37,8 @@ def test_zero_epochs_returns_initialized_networks_and_empty_log():
     ds = _toy_ds()
     res = train(ds, TrainConfig(epochs=0, batch=8, seed=3))
     assert res.runlog.records == []
-    assert res.discriminator.d == 4
-    assert res.generator.generator.experts == 2
+    assert res.model.d == 4
+    assert res.model.generator.generator.experts == 2
 
 
 def test_lr_zero_leaves_parameters_bit_identical():
@@ -47,9 +47,9 @@ def test_lr_zero_leaves_parameters_bit_identical():
     init = train(ds, cfg0)
     cfg1 = TrainConfig(epochs=1, batch=32, seed=5, lr=0.0)
     stepped = train(ds, cfg1)
-    for a, b in [(init.generator, stepped.generator),
-                 (init.discriminator, stepped.discriminator),
-                 (init.classifier, stepped.classifier)]:
+    for a, b in [(init.model.generator, stepped.model.generator),
+                 (init.model.discriminator, stepped.model.discriminator),
+                 (init.model.classifier, stepped.model.classifier)]:
         assert _params_bytes(a) == _params_bytes(b)
 
 
@@ -186,10 +186,10 @@ def test_acsgan_single_class_losses_reduce_to_vanilla_gan():
 def test_achsgan_discriminator_has_n_plus_one_outputs():
     ds = _toy_ds(n_per=16, d=8, n_classes=3)
     res = train(ds, TrainConfig(epochs=1, batch=16, seed=0, mode="achsgan"))
-    assert res.discriminator.n_out == 4
-    logits = res.discriminator.logits(ad.const(ds.samples[:5]), train=False)
+    assert res.model.discriminator.n_out == 4
+    logits = res.model.discriminator.logits(ad.const(ds.samples[:5]), train=False)
     assert logits.shape == (5, 4)
-    probs = res.classifier.probs(ad.const(ds.samples[:5]), train=False)
+    probs = res.model.classifier.probs(ad.const(ds.samples[:5]), train=False)
     assert probs.shape == (5, 3)
     np.testing.assert_allclose(probs.data.sum(axis=1), 1.0, atol=1e-9)
 
@@ -199,7 +199,7 @@ def test_all_modes_share_data_order_for_a_seed():
     digests = {}
     for mode in ("mgsgan", "acsgan", "achsgan"):
         res = train(ds, TrainConfig(epochs=3, batch=16, seed=7, mode=mode))
-        assert res.mode == mode
+        assert res.model.mode == mode
         digests[mode] = [r.data_order_digest for r in res.runlog.records]
     assert digests["mgsgan"] == digests["acsgan"] == digests["achsgan"]
 
@@ -207,7 +207,7 @@ def test_all_modes_share_data_order_for_a_seed():
 def test_train_baseline_is_mode_dispatch():
     ds = _toy_ds(n_per=8, d=8)
     res = train(ds, TrainConfig(epochs=1, batch=8, seed=1, mode="acsgan"))
-    assert res.mode == "acsgan"
+    assert res.model.mode == "acsgan"
 
 
 def test_nonfinite_loss_aborts_with_context_and_checkpoint(monkeypatch):
@@ -339,7 +339,7 @@ def test_classifier_step_abort_has_context_and_last_good(monkeypatch):
     one_epoch = train(ds, TrainConfig(epochs=1, batch=16, seed=1, mode="mgsgan"))
     init = train(ds, TrainConfig(epochs=0, batch=16, seed=1, mode="mgsgan"))
     # the parent's classifier holds the worker's epoch-end weights
-    assert _params_bytes(one_epoch.classifier) != _params_bytes(init.classifier)
+    assert _params_bytes(one_epoch.model.classifier) != _params_bytes(init.model.classifier)
     # call 3 is the first batch of the second epoch (2 batches/epoch)
     _poison(monkeypatch, "loss_c", 3, NumericError("poisoned C"))
     with pytest.raises(TrainingAborted, match="poisoned C") as err:
@@ -356,13 +356,13 @@ def test_pulled_classifier_keeps_the_arrays_it_was_built_with(monkeypatch):
     real_build_players = training.build_players
 
     def recording_build_players(*args):
-        players = real_build_players(*args)
-        built.extend((p, p.data, p.data.copy()) for p in players.classifier.parameters())
-        return players
+        model = real_build_players(*args)
+        built.extend((p, p.data, p.data.copy()) for p in model.classifier.parameters())
+        return model
 
     monkeypatch.setattr(training, "build_players", recording_build_players)
     res = train(_toy_ds(n_per=16, d=8), TrainConfig(epochs=2, batch=16, seed=1, mode="acsgan"))
-    assert [p for p, _, _ in built] == res.classifier.parameters()
+    assert [p for p, _, _ in built] == res.model.classifier.parameters()
     assert all(p.data is data for p, data, _ in built)
     assert any(not np.array_equal(p.data, init) for p, _, init in built)  # it was trained
 
