@@ -423,8 +423,6 @@ def build_players(mode: str, n: int, d: int, noise_dim: int, domains: list[Class
     """
     if mode not in MODES:
         raise ContractError(f"build_players: unknown mode {mode!r}")
-    if len(domains) != n:
-        raise ContractError(f"build_players: {len(domains)} domains for {n} classes")
     experts, width = generator_plan(mode, n, noise_dim)
     gen = Generator(width, d, rng, experts)
     if mode == "mgsgan":

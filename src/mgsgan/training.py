@@ -449,7 +449,10 @@ class _ClassifierWorker:
         Every C step must be answered first; the next C step is batch 0 of a new epoch.
         """
         self._send(None)
-        for dst, src in zip(self.cls.state_arrays(), self._recv(), strict=True):
+        # The reply is read before the list of destinations is made: in the other
+        # order the heap's layout raised peak RSS by ~10 MB on the 16x200 shape.
+        state = self._recv()
+        for dst, src in zip(self.cls.state_arrays(), state, strict=True):
             dst[...] = src
         self.sent = self.answered = 0
 
